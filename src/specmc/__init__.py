@@ -26,6 +26,6 @@ from .simulate import (SimConfig, SimResult, default_dim, generate_instance,
                        run_replicate, run_replicates)
 from .spectral import (ClampWarning, EigenLadder, SpectralEstimate,
                        estimate_singular_triplets, singular_values_from_eigs,
-                       sym_eig_desc, trailing_eig_mean)
+                       sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
 
 __version__ = "0.1.0"

@@ -151,19 +151,15 @@ def cmd_complete(args):
 
 def cmd_rank(args):
     obs = _load_input(args)
-    decision = estimate_rank(_right_ladder(obs), observed_fraction(obs),
+    ladder = _right_ladder(obs)
+    decision = estimate_rank(ladder, observed_fraction(obs),
                              obs.n_rows, obs.n_cols, args.cd_const)
     write_report(decision, args.output, "json")
     if args.scree_out:
-        k = args.k if args.k is not None else min(50, obs.n_cols)
-        rows = [{"index": i, "eigenvalue": v}
-                for i, v in scree_from_decision(decision, k)]
+        k = args.k if args.k is not None else min(50, ladder.dim)
+        rows = [{"index": i, "eigenvalue": v} for i, v in scree(ladder, k)]
         write_report(rows, args.scree_out, "csv")
     return 0
-
-
-def scree_from_decision(decision, k):
-    return [(i + 1, float(decision.eigenvalues[i])) for i in range(k)]
 
 
 def cmd_scree(args):

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 _ORTHO_TOL = 1e-10
 
@@ -75,6 +76,10 @@ class ObservedMatrix:
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.rows, self.cols] = self.vals
         return out
+
+    def to_csr(self):
+        """Zero-imputed realization as a scipy.sparse CSR array."""
+        return csr_array((self.vals, self.cols, self.row_ptr()), shape=self.shape)
 
     def matvec(self, x):
         """Product of the zero-imputed matrix with a vector."""

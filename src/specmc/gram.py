@@ -26,7 +26,11 @@ def gram_right(obs):
 
 
 def gram_left(obs):
-    """M M^T of the zero-imputed matrix, (n, n), exactly symmetric."""
+    """M M^T of the zero-imputed matrix, (n, n), exactly symmetric.
+
+    The estimator never forms it (see spectral.top_gram_eigenpairs); it is
+    the dense reference that tests compare against.
+    """
     t = obs.transpose()
     return backends.gram_accumulate(t.row_ptr(), t.cols, t.vals, t.n_cols)
 

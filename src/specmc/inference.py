@@ -9,9 +9,9 @@ observed fraction, noise floor over n * p_hat^2).
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import backends
 
@@ -107,7 +107,7 @@ def confidence_intervals(est, covariance, alpha):
     """Normal intervals lambda_hat_i +- z_{1-alpha/2} sqrt(max(cov_ii, 0))."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     var = np.clip(np.diag(np.asarray(covariance, dtype=np.float64)), 0.0, None)
     half = z * np.sqrt(var)
     return np.column_stack([est.lambda_hat - half, est.lambda_hat + half])

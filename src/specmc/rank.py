@@ -31,6 +31,13 @@ class RankDecision:
         }
 
 
+def _require_full(ladder, what):
+    if not ladder.is_full:
+        raise ValueError(
+            f"{what} needs the full eigenvalue ladder; got the top "
+            f"{ladder.values.size} of {ladder.dim} values")
+
+
 def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
     """Estimated rank from the debiased right-gram eigenvalue ladder.
 
@@ -41,8 +48,10 @@ def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
     maximises (mu_k - mu_dim) / (mu_{k+1} - mu_dim); a zero denominator
     (the ladder is flat from k+1 on) counts as an infinite ratio, and ties
     go to the smallest k. The shift by mu_dim makes the ratio invariant to
-    rescaling the data and to adding a multiple of the identity.
+    rescaling the data and to adding a multiple of the identity. A ladder
+    holding only the top values (`not ladder.is_full`) is rejected.
     """
+    _require_full(ladder, "estimate_rank")
     if p_hat <= 0:
         raise ValueError("p_hat must be positive")
     if d < 2:
@@ -63,7 +72,11 @@ def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
 
 
 def scree(ladder, k):
-    """Top-k (1-based index, eigenvalue) pairs for external plotting."""
+    """Top-k (1-based index, eigenvalue) pairs for external plotting.
+
+    The ladder must hold its full spectrum.
+    """
+    _require_full(ladder, "scree")
     if not (0 <= k <= ladder.dim):
         raise ValueError(f"k must be in [0, {ladder.dim}]")
     return [(i + 1, float(ladder.values[i])) for i in range(k)]

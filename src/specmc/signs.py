@@ -13,8 +13,7 @@ import numpy as np
 
 from . import backends
 from .data import ObservedMatrix
-from .gram import gram_right
-from .spectral import SpectralEstimate, sym_eig_desc
+from .spectral import SpectralEstimate, top_gram_eigenpairs
 
 SIGN_BUDGET = 12
 
@@ -88,13 +87,14 @@ def resolve_signs_exhaustive(est, obs, budget=SIGN_BUDGET):
 def resolve_signs_heuristic(est, obs):
     """Sign from inner products with the zero-imputed data's singular vectors.
 
-    The right singular vectors come from the unadjusted gram; each left one
-    is paired through normalized multiplication by the data matrix, which
+    The right singular vectors are the top eigenvectors of the unadjusted
+    gram M^T M, taken by Lanczos without forming it; each left one is
+    paired through normalized multiplication by the data matrix, which
     keeps the per-factor sign product independent of the SVD's own sign
     convention.
     """
     r = est.rank
-    ladder = sym_eig_desc(gram_right(obs), r)
+    ladder = top_gram_eigenpairs(obs.to_csr().T, r)
     v = ladder.vectors
     s = np.empty(r)
     for i in range(r):

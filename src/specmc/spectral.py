@@ -5,15 +5,22 @@ their leading eigenvectors as the singular vector estimates, and recover the
 singular values from the leading eigenvalues after subtracting the mean
 trailing eigenvalue (a noise-floor estimate) and rescaling by the observed
 fraction.
+
+The d x d right gram is formed and fully diagonalised, because rank
+selection, the scree and the noise floor read its whole ladder. The n x n
+left gram is never formed: its top-r eigenpairs come from Lanczos iterations
+(ARPACK) on an operator that costs O(nnz) per product, so memory stays
+O(nnz + d^2) however many rows the matrix has.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .data import ObservedMatrix
-from .gram import bias_adjust, gram_left, gram_right, observed_fraction
+from .gram import bias_adjust, gram_right, observed_fraction
 
 _SYM_TOL = 1e-10
 
@@ -24,9 +31,11 @@ class ClampWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EigenLadder:
-    """Full descending eigenvalue ladder with the leading eigenvectors.
+    """Leading descending eigenvalues of a symmetric matrix, with eigenvectors.
 
-    `values` always holds every eigenvalue; `vectors` holds orthonormal
+    The matrix is `dim` x `dim` (default: the number of values) and its trace
+    is `full_trace`. `values` holds its largest `values.size` eigenvalues,
+    every one of them when `is_full`; `vectors` holds orthonormal
     eigenvectors for the leading `vectors.shape[1]` of them, each with its
     largest-magnitude coordinate positive.
     """
@@ -34,10 +43,19 @@ class EigenLadder:
     values: np.ndarray
     vectors: np.ndarray
     full_trace: float
+    dim: int | None = None
+
+    def __post_init__(self):
+        size = int(np.size(self.values))
+        if self.dim is None:
+            object.__setattr__(self, "dim", size)
+        elif size > self.dim:
+            raise ValueError(f"{size} eigenvalues for a dim={self.dim} matrix")
 
     @property
-    def dim(self):
-        return int(self.values.size)
+    def is_full(self):
+        """True when `values` holds the whole spectrum."""
+        return int(np.size(self.values)) == self.dim
 
 
 @dataclass(frozen=True)
@@ -112,6 +130,39 @@ def sym_eig_desc(S, k=None):
     return EigenLadder(values=values, vectors=vectors, full_trace=float(np.trace(S)))
 
 
+def top_gram_eigenpairs(X, k, p_hat=1.0):
+    """Top-k eigenpairs of the debiased gram of a sparse X, without forming it.
+
+    The gram is X X^T with its diagonal scaled by p_hat, i.e.
+    bias_adjust(X X^T, p_hat); p_hat=1 leaves it unadjusted. It is applied
+    as x -> X (X^T x) - (1 - p_hat) * rowsq * x, where rowsq holds the row
+    sums of squares of X, and its top k eigenpairs come from Lanczos
+    iterations (ARPACK via `eigsh`) at full precision. The largest
+    algebraic eigenvalues are requested because the debiased gram is
+    indefinite. The start vector and the restart draws are fixed, so equal
+    input gives equal bytes. Returns a top-k EigenLadder with
+    dim = X.shape[0] and the trace p_hat * sum(rowsq).
+    """
+    dim = X.shape[0]
+    if not (1 <= k < dim):
+        raise ValueError(f"k must be in [1, {dim - 1}], got {k}")
+    Xt = X.T.tocsr()
+    rowsq = np.asarray(X.multiply(X).sum(axis=1), dtype=np.float64).ravel()
+    shift = (1.0 - p_hat) * rowsq
+
+    def matvec(x):
+        x = np.ravel(x)
+        return X @ (Xt @ x) - shift * x
+
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
+    # a ones start vector can lie in the null space of a rank-one gram
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+    w, Q = eigsh(op, k=k, which="LA", v0=v0, tol=0, rng=0)
+    order = np.argsort(w, kind="stable")[::-1]
+    return EigenLadder(values=w[order], vectors=_canonical_signs(Q[:, order]),
+                       full_trace=p_hat * float(rowsq.sum()), dim=dim)
+
+
 def trailing_eig_mean(ladder, r, dim=None):
     """Mean of the trailing dim-r eigenvalues via the trace shortcut."""
     if dim is None:
@@ -144,9 +195,11 @@ def singular_values_from_eigs(top_values, tau_hat, p_hat):
 def estimate_singular_triplets(obs: ObservedMatrix, rank: int) -> SpectralEstimate:
     """Estimate the top-`rank` singular triplets from observed entries.
 
-    Steps: observed fraction -> debiased right/left grams -> leading
-    eigenvectors of each -> noise floor from the trailing right eigenvalues
-    -> singular values.
+    Steps: observed fraction -> full eigendecomposition of the debiased
+    right gram -> top-`rank` eigenpairs of the debiased left gram by
+    Lanczos, without forming it -> noise floor from the trailing right
+    eigenvalues -> singular values. `left_ladder` holds only the top
+    `rank` left eigenvalues; `right_ladder` holds all d.
     """
     n, d = obs.shape
     if not (1 <= rank < min(n, d)):
@@ -155,7 +208,7 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int) -> SpectralEstima
         raise ValueError("cannot estimate from an empty mask")
     p_hat = observed_fraction(obs)
     right = sym_eig_desc(bias_adjust(gram_right(obs), p_hat), rank)
-    left = sym_eig_desc(bias_adjust(gram_left(obs), p_hat), rank)
+    left = top_gram_eigenpairs(obs.to_csr(), rank, p_hat)
     tau_hat = trailing_eig_mean(right, rank)
     lambda_hat, n_clamped = singular_values_from_eigs(right.values[:rank], tau_hat, p_hat)
     return SpectralEstimate(

@@ -1,9 +1,14 @@
 """Plug-in variances, covariance matrix, and confidence intervals."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+import specmc
 from specmc import (GroundTruth, ObservedMatrix, assemble, build_report,
                     confidence_intervals, estimate_noise_variance,
                     estimate_singular_triplets, resolve_signs_exhaustive,
@@ -238,3 +243,12 @@ class TestBuildReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_report(cm)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of import time on every CLI call
+    code = "import sys, specmc; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(specmc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -14,6 +14,12 @@ def _ladder(values):
     return EigenLadder(values, np.eye(values.size), float(values.sum()))
 
 
+def _top_ladder(values, dim):
+    # leading values of a dim x dim matrix, as the Lanczos left ladder holds
+    values = np.asarray(values, dtype=np.float64)
+    return EigenLadder(values, np.eye(dim, values.size), float(values.sum()), dim)
+
+
 class TestEstimateRank:
     def test_threshold_count(self):
         decision = estimate_rank(_ladder([5000.0, 40.0, 30.0]), 0.5, 100, 20, 1.0)
@@ -50,6 +56,11 @@ class TestEstimateRank:
     def test_partial_ladder_allowed(self):
         decision = estimate_rank(_ladder([5000.0]), 0.5, 100, 20, 1.0)
         assert decision.r_hat == 1
+
+    def test_top_k_ladder_rejected(self):
+        # mu_dim is unknown, so the shifted ratio cannot be formed
+        with pytest.raises(ValueError, match="full eigenvalue ladder"):
+            estimate_rank(_top_ladder([5000.0, 400.0], 10), 0.5, 100, 10, 1.0)
 
     def test_ladder_larger_than_d_rejected(self):
         with pytest.raises(ValueError):
@@ -107,6 +118,10 @@ class TestScree:
 
     def test_k_zero(self):
         assert scree(_ladder([3.0, 2.0, 1.0]), 0) == []
+
+    def test_top_k_ladder_rejected(self):
+        with pytest.raises(ValueError, match="full eigenvalue ladder"):
+            scree(_top_ladder([3.0, 2.0], 5), 2)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):

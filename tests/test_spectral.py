@@ -1,10 +1,16 @@
 """Eigendecomposition contract and the singular triplet estimator."""
 
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from specmc import (ClampWarning, ObservedMatrix, estimate_singular_triplets,
-                    singular_values_from_eigs, sym_eig_desc, trailing_eig_mean)
+from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
+                    estimate_singular_triplets, generate_instance, gram_left,
+                    gram_right, observed_fraction, resolve_signs_heuristic,
+                    sin_theta_sq, singular_values_from_eigs, sym_eig_desc,
+                    top_gram_eigenpairs, trailing_eig_mean)
 from specmc.spectral import EigenLadder
 
 
@@ -92,6 +98,10 @@ class TestTrailingMean:
     def test_r_equals_dim_minus_one(self):
         ladder = EigenLadder(np.array([5.0, 3.0, 0.0]), np.eye(3), 8.0)
         assert trailing_eig_mean(ladder, 2) == 0.0
+
+    def test_more_values_than_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim=2"):
+            EigenLadder(np.array([5.0, 3.0, 1.0]), np.eye(3), 9.0, 2)
 
     def test_r_too_large(self):
         ladder = EigenLadder(np.array([5.0, 3.0]), np.eye(2), 8.0)
@@ -197,8 +207,117 @@ class TestEstimate:
             estimate_singular_triplets(ObservedMatrix(4, 3, [], [], []), 1)
 
     def test_ladders_carry_full_spectrum(self):
+        # the right ladder is the full spectrum; the left one holds the top
+        # `rank` values of the n x n gram
         obs = _full(np.arange(12.0).reshape(4, 3))
         est = estimate_singular_triplets(obs, 1)
-        assert est.right_ladder.dim == 3
-        assert est.left_ladder.dim == 4
+        assert est.right_ladder.dim == 3 and est.right_ladder.is_full
+        assert est.left_ladder.dim == 4 and not est.left_ladder.is_full
+        assert est.left_ladder.values.shape == (1,)
+        assert est.left_ladder.vectors.shape == (4, 1)
         assert est.right_ladder.vectors.shape == (3, 1)
+
+
+def _sparse_case(seed, n, d, p):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, d))
+    mask = rng.random((n, d)) < p
+    mask[np.arange(n), rng.integers(0, d, n)] = True  # no empty rows
+    return ObservedMatrix.from_mask(dense, mask)
+
+
+# (seed, n, d, p): tall, wide and 2-5-row shapes
+_PIN_CASES = [(11, 40, 6, 0.6), (12, 60, 9, 0.3), (13, 6, 40, 0.6),
+              (14, 9, 70, 0.25), (15, 2, 5, 0.8), (16, 3, 7, 0.7),
+              (17, 4, 4, 1.0), (18, 5, 3, 0.9), (19, 5, 12, 0.5)]
+
+
+class TestTopGramEigenpairs:
+    """Lanczos top-k eigenpairs pinned to a dense eigh of the formed gram."""
+
+    @staticmethod
+    def _assert_matches(top, dense):
+        k = top.values.size
+        assert sin_theta_sq(top.vectors, dense.vectors[:, :k]) <= 1e-12
+        scale = max(abs(dense.values[0]), 1e-300)
+        assert np.abs(top.values - dense.values[:k]).max() <= 1e-10 * scale
+        assert top.dim == dense.dim
+        assert abs(top.full_trace - dense.full_trace) <= 1e-12 * max(abs(dense.full_trace), 1)
+
+    @pytest.mark.parametrize("seed,n,d,p", _PIN_CASES)
+    def test_left_debiased_matches_dense(self, seed, n, d, p):
+        obs = _sparse_case(seed, n, d, p)
+        p_hat = observed_fraction(obs)
+        dense = sym_eig_desc(bias_adjust(gram_left(obs), p_hat))
+        for k in range(1, min(n, d)):
+            self._assert_matches(top_gram_eigenpairs(obs.to_csr(), k, p_hat), dense)
+
+    @pytest.mark.parametrize("seed,n,d,p", _PIN_CASES)
+    def test_right_unadjusted_matches_dense(self, seed, n, d, p):
+        obs = _sparse_case(seed, n, d, p)
+        dense = sym_eig_desc(gram_right(obs))
+        for k in range(1, min(n, d)):
+            self._assert_matches(top_gram_eigenpairs(obs.to_csr().T, k), dense)
+
+    def test_rank_one_four_by_two(self):
+        # the ones vector is orthogonal to u, so it lies in the gram's null
+        # space: as a start vector it hits ARPACK's "starting vector is zero"
+        u = np.array([1.0, 2.0, -1.0, -2.0])
+        obs = _full(np.outer(u, [3.0, 1.0]))
+        top = top_gram_eigenpairs(obs.to_csr(), 1, 1.0)
+        self._assert_matches(top, sym_eig_desc(gram_left(obs)))
+        assert np.abs(top.vectors[:, 0] - u / np.sqrt(10.0)).max() <= 1e-12
+        assert abs(top.values[0] - 100.0) <= 1e-12 * 100.0
+
+    def test_exact_rank_one_full_observation(self):
+        rng = np.random.default_rng(20)
+        u = rng.normal(size=30)
+        v = rng.normal(size=8)
+        obs = _full(np.outer(u, v))
+        est = estimate_singular_triplets(obs, 1)
+        lam = np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(est.left_ladder.values[0] - lam**2) <= 1e-10 * lam**2
+        assert sin_theta_sq(est.U_hat, (u / np.linalg.norm(u))[:, None]) <= 1e-12
+        assert abs(est.lambda_hat[0] - lam) <= 1e-10 * lam
+
+    def test_k_out_of_range(self):
+        X = _full(np.eye(3)).to_csr()
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="k must be"):
+                top_gram_eigenpairs(X, k)
+
+    def test_byte_identical_across_calls_and_threads(self):
+        config = SimConfig(n=300, d=20, p=0.4, sigma=1.0, true_rank=3,
+                           replicates=1, seed=21)
+        _, obs = generate_instance(config, 0)
+
+        def run(_):
+            est = estimate_singular_triplets(obs, 3)
+            signs = resolve_signs_heuristic(est, obs)
+            return (est.U_hat.tobytes(), est.left_ladder.values.tobytes(),
+                    est.lambda_hat.tobytes(), signs.tobytes())
+
+        first = run(None)
+        assert all(run(None) == first for _ in range(3))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert all(out == first for out in pool.map(run, range(6)))
+
+    def test_tall_sparse_never_forms_left_gram(self):
+        # the dense 6000 x 6000 left gram alone would take 288 MB
+        config = SimConfig(n=6000, d=60, p=0.05, sigma=1.0, true_rank=3,
+                           replicates=1, seed=22)
+        _, obs = generate_instance(config, 0)
+        tracemalloc.start()
+        try:
+            est = estimate_singular_triplets(obs, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # eigenpair residuals of the debiased left gram, applied sparsely
+        M = obs.to_csr()
+        U, mu = est.U_hat, est.left_ladder.values
+        rowsq = np.bincount(obs.rows, weights=obs.vals**2, minlength=obs.n_rows)
+        GU = M @ (M.T @ U) - (1 - est.p_hat) * rowsq[:, None] * U
+        assert np.abs(GU - U * mu).max() <= 1e-10 * mu[0]
+        assert np.abs(U.T @ U - np.eye(3)).max() <= 1e-12
