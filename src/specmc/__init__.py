@@ -6,7 +6,6 @@ completed matrix, with rank selection, plug-in confidence intervals, and a
 replicated simulation harness.
 """
 
-from .backends import BACKEND, HAS_NUMBA
 from .data import GroundTruth, ObservedMatrix
 from .gram import (bias_adjust, expected_gram_left, expected_gram_right,
                    gram_left, gram_right, observed_fraction)

@@ -104,7 +104,8 @@ def _load_input(args):
 
 
 def _right_ladder(obs):
-    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)))
+    """Full value ladder of the debiased right gram; no eigenvectors."""
+    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), 0)
 
 
 def _resolve_rank(args, obs):

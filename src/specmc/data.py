@@ -21,7 +21,7 @@ class ObservedMatrix:
     The Bernoulli mask is implicit: a cell is observed iff it appears in the
     triplet arrays. Entries are canonicalized to row-major order at
     construction and the arrays are frozen, so instances are immutable and
-    safe to share across threads. Indices are 0-based.
+    safe to share across threads. Indices are 0-based; values must be finite.
     """
 
     n_rows: int
@@ -43,6 +43,12 @@ class ObservedMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.n_cols:
                 raise ValueError("column index out of range")
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                raise ValueError(
+                    f"non-finite value {vals[k]} at (row={rows[k]}, col={cols[k]})"
+                )
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size > 1:

@@ -5,6 +5,13 @@ summed squares ("energy") are closed-form functionals of the unknown matrix,
 its factors, the observation probability and the noise variance; here each
 unknown is replaced by its estimate (completed matrix, estimated factors,
 observed fraction, noise floor over n * p_hat^2).
+
+Both functionals read the same all-cells sums
+S_ij = sum_{k,h} M_kh^2 U_ki V_hi U_kj V_hj of the factor-form matrix
+M = U diag(c) V^T. Expanding M_kh^2 separates the row and column indices, so
+S comes from the gram matrices of the row-wise Kronecker squares of U and V
+in O((n + d) r^4) time and O((n + d) r^2) memory; the n x d matrix is never
+formed.
 """
 
 import warnings
@@ -12,8 +19,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-
-from . import backends
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,28 @@ def estimate_noise_variance(tau_hat, p_hat, n):
     return max(tau_hat / (n * p_hat**2), 0.0)
 
 
+def pair_m2_sums(U, V, coef):
+    """S_ij = sum_{k,h} M_kh^2 U_ki V_hi U_kj V_hj for M = U diag(coef) V^T.
+
+    With A, B the row-wise Kronecker squares of U, V (A[k] = U[k] (x) U[k]),
+    S = reshape((coef (x) coef) . (A^T A o B^T B)).
+    """
+    U, V = np.asarray(U, dtype=np.float64), np.asarray(V, dtype=np.float64)
+    coef = np.asarray(coef, dtype=np.float64).ravel()
+    r = coef.size
+    A = (U[:, :, None] * U[:, None, :]).reshape(U.shape[0], r * r)
+    B = (V[:, :, None] * V[:, None, :]).reshape(V.shape[0], r * r)
+    return (np.outer(coef, coef).ravel() @ ((A.T @ A) * (B.T @ B))).reshape(r, r)
+
+
 def singular_value_covariance(cm, noise_var):
     """Plug-in covariance of the estimated singular values, (r, r) symmetric.
 
     Off-diagonal (i, j):
         ((1-p)/p) * (sum_{k,h} Mhat_kh^2 U_ki V_hi U_kj V_hj - b_i b_j)
     with noise_var/p added on the diagonal, where b = lambda_hat/sqrt(nd).
-    The double sum runs over all n*d cells using the factor form of the
-    completed matrix.
+    The double sum over all n*d cells is pair_m2_sums of the completed
+    matrix's factor form.
     """
     est = cm.estimate
     p = est.p_hat
@@ -68,7 +87,7 @@ def singular_value_covariance(cm, noise_var):
         raise ValueError("p_hat must be positive")
     n, d = est.shape
     b = est.lambda_hat / np.sqrt(n * d)
-    S = backends.pair_m2_sums(est.U_hat, est.V_hat, cm.coef())
+    S = pair_m2_sums(est.U_hat, est.V_hat, cm.coef())
     cov = (1.0 - p) / p * (S - np.outer(b, b))
     cov[np.diag_indices_from(cov)] += noise_var / p
     return (cov + cov.T) / 2.0
@@ -86,8 +105,7 @@ def squared_sv_sum_variance(U, V, b, coef, p, noise_var, m):
         raise ValueError(f"m must be in [1, {b.size}], got {m}")
     if p <= 0:
         raise ValueError("p must be positive")
-    S = backends.pair_m2_sums(np.ascontiguousarray(U), np.ascontiguousarray(V),
-                              np.asarray(coef, dtype=np.float64))
+    S = pair_m2_sums(U, V, coef)
     bm = b[:m]
     b2 = float(bm @ bm)
     brace = float(bm @ S[:m, :m] @ bm) - b2**2

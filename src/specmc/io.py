@@ -9,6 +9,7 @@ to 17 significant digits so identical inputs always produce identical bytes.
 import csv
 import sys
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -51,6 +52,8 @@ def load_triplets(path, options=IoOptions()):
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if r < 1 or c < 1:
                 raise ValueError(f"{path}:{lineno}: ids are 1-based, got ({r}, {c})")
+            if not isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite value {parts[2].strip()!r}")
             rows.append(r - 1)
             cols.append(c - 1)
             vals.append(v)
@@ -88,6 +91,8 @@ def load_dense(path, missing_token="NA", delimiter=","):
                     v = float(cell)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad cell {cell!r}") from None
+                if not isfinite(v):
+                    raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
                 rows.append(lineno - 1)
                 cols.append(j)
                 vals.append(v)

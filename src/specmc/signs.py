@@ -4,14 +4,17 @@ Each estimated factor pair is determined only up to a joint sign flip. The
 exhaustive resolver minimizes the squared residual on the observed cells over
 all sign vectors; above the candidate budget, a spectral heuristic compares
 the estimated factors with the singular vectors of the zero-imputed data.
+
+The residual of a sign vector s is a quadratic form in s,
+||P s - y||^2 = ||y||^2 - 2 s.(P^T y) + s^T (P^T P) s, where P holds the
+per-cell factor products. So one pass over the observed cells builds P^T y
+and P^T P in O(nnz r^2), after which all 2^r candidates cost O(2^r r^2).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
 from .data import ObservedMatrix
 from .spectral import SpectralEstimate, top_gram_eigenpairs
 
@@ -59,14 +62,22 @@ def _sign_of(x):
 
 def sign_candidates(r):
     """All sign vectors of length r, lexicographic with +1 before -1."""
-    return np.array(list(itertools.product((1.0, -1.0), repeat=r)))
+    # bit j of the candidate index, most significant first, is a -1 at j
+    bits = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
 
 
 def enumerate_sign_residuals(est, obs):
-    """(candidates, observed-cell squared residuals) for every sign vector."""
+    """(candidates, observed-cell squared residuals) for every sign vector.
+
+    Each residual ||P s - y||^2 is evaluated in closed form from P^T y and
+    P^T P, with P[t] = lambda_hat * U_hat[row_t] * V_hat[col_t].
+    """
     P = est.lambda_hat * est.U_hat[obs.rows] * est.V_hat[obs.cols]
+    y = obs.vals
     cand = sign_candidates(est.rank)
-    return cand, backends.sign_residuals(P, obs.vals, cand)
+    quad = ((cand @ (P.T @ P)) * cand).sum(axis=1)
+    return cand, (y @ y) - 2.0 * (cand @ (P.T @ y)) + quad
 
 
 def resolve_signs_exhaustive(est, obs, budget=SIGN_BUDGET):
@@ -156,5 +167,5 @@ def predict_entries(cm, rows, cols):
     if rows.size and (rows.min() < 0 or rows.max() >= n
                       or cols.min() < 0 or cols.max() >= d):
         raise IndexError("prediction index out of range")
-    return backends.predict_cells(cm.estimate.U_hat, cm.estimate.V_hat,
-                                  cm.coef(), rows, cols)
+    return np.einsum("ti,ti->t", cm.estimate.U_hat[rows] * cm.coef(),
+                     cm.estimate.V_hat[cols])

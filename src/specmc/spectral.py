@@ -110,8 +110,9 @@ def sym_eig_desc(S, k=None):
     """Eigendecomposition of a symmetric matrix, values descending.
 
     Returns the full value ladder and the top-k eigenvectors (k=None keeps
-    all). Eigenvector signs are canonicalized so identical input yields
-    identical output.
+    all). k=0 computes the values alone, which is about twice as fast, and
+    returns a (dim, 0) `vectors` array. Eigenvector signs are canonicalized
+    so identical input yields identical output.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -122,12 +123,15 @@ def sym_eig_desc(S, k=None):
     dim = S.shape[0]
     if k is None:
         k = dim
-    if not (1 <= k <= dim):
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
-    w, Q = np.linalg.eigh(S)
-    values = w[::-1].copy()
-    vectors = _canonical_signs(Q[:, ::-1][:, :k].copy())
-    return EigenLadder(values=values, vectors=vectors, full_trace=float(np.trace(S)))
+    if not (0 <= k <= dim):
+        raise ValueError(f"k must be in [0, {dim}], got {k}")
+    if k == 0:
+        w, vectors = np.linalg.eigvalsh(S), np.empty((dim, 0))
+    else:
+        w, Q = np.linalg.eigh(S)
+        vectors = _canonical_signs(Q[:, ::-1][:, :k].copy())
+    return EigenLadder(values=w[::-1].copy(), vectors=vectors,
+                       full_trace=float(np.trace(S)))
 
 
 def top_gram_eigenpairs(X, k, p_hat=1.0):

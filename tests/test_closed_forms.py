@@ -1,0 +1,140 @@
+"""Closed-form kernels pinned to dense brute-force references.
+
+The sign scan evaluates every candidate's observed-cell residual from
+P^T y and P^T P; the inference sums S come from the gram matrices of the
+row-wise Kronecker squares of the factors. Both are checked here against
+direct evaluation over the cells.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specmc import (ObservedMatrix, enumerate_sign_residuals,
+                    estimate_singular_triplets, resolve_signs_exhaustive)
+from specmc.inference import pair_m2_sums
+from specmc.signs import sign_candidates
+from specmc.spectral import EigenLadder, SpectralEstimate
+
+
+def _estimate(U, V, lam):
+    """SpectralEstimate carrying the given factors; the ladders are unused."""
+    (n, r), d = U.shape, V.shape[0]
+    return SpectralEstimate(
+        U_hat=U, V_hat=V, lambda_hat=lam, p_hat=0.5, tau_hat=0.0, rank=r,
+        right_ladder=EigenLadder(np.zeros(r), np.eye(d, r), 0.0, dim=d),
+        left_ladder=EigenLadder(np.zeros(r), np.eye(n, r), 0.0, dim=n),
+    )
+
+
+def _brute_residuals(est, obs):
+    """||P s - y||^2 per candidate, from the dense completed matrix."""
+    out = []
+    for s in itertools.product((1.0, -1.0), repeat=est.rank):
+        dense = (est.U_hat * (np.array(s) * est.lambda_hat)) @ est.V_hat.T
+        diff = dense[obs.rows, obs.cols] - obs.vals
+        out.append(float(diff @ diff))
+    return np.array(out)
+
+
+def _brute_pair_sums(U, V, coef):
+    """Explicit double sum over every cell of the dense (U c) V^T."""
+    M = (U * coef) @ V.T
+    return np.einsum("kh,ki,hi,kj,hj->ij", M**2, U, V, U, V)
+
+
+def _random_problem(rng, n, d, r, frac):
+    dense = rng.normal(size=(n, d))
+    obs = ObservedMatrix.from_mask(dense, rng.random((n, d)) < frac)
+    U = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    V = np.linalg.qr(rng.normal(size=(d, r)))[0]
+    lam = np.sort(rng.uniform(0.5, 3.0, r))[::-1] * np.sqrt(n * d)
+    return obs, _estimate(U, V, lam)
+
+
+class TestSignCandidates:
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_lexicographic_plus_first(self, r):
+        ref = np.array(list(itertools.product((1.0, -1.0), repeat=r)))
+        cand = sign_candidates(r)
+        assert cand.dtype == np.float64
+        assert np.array_equal(cand, ref)
+
+
+class TestSignResiduals:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 12])
+    def test_matches_brute_force(self, r):
+        rng = np.random.default_rng(100 + r)
+        obs, est = _random_problem(rng, 30, 20, r, 0.5)
+        cand, res = enumerate_sign_residuals(est, obs)
+        assert np.array_equal(cand, sign_candidates(r))
+        tol = 1e-12 * float(obs.vals @ obs.vals)
+        assert np.abs(res - _brute_residuals(est, obs)).max() <= tol
+
+    @pytest.mark.parametrize("r", [1, 3, 12])
+    def test_matches_brute_force_on_estimates(self, r):
+        rng = np.random.default_rng(200 + r)
+        A, B = rng.uniform(-2, 2, (40, r)), rng.uniform(-2, 2, (25, r))
+        dense = A @ B.T + rng.normal(size=(40, 25))
+        obs = ObservedMatrix.from_mask(dense, rng.random((40, 25)) < 0.6)
+        est = estimate_singular_triplets(obs, r)
+        _, res = enumerate_sign_residuals(est, obs)
+        tol = 1e-12 * float(obs.vals @ obs.vals)
+        assert np.abs(res - _brute_residuals(est, obs)).max() <= tol
+
+    def test_zero_lambda_ties_pick_plus_one(self):
+        rng = np.random.default_rng(7)
+        obs, est = _random_problem(rng, 30, 20, 4, 0.5)
+        lam = est.lambda_hat.copy()
+        lam[[1, 3]] = 0.0
+        zeroed = dataclasses.replace(est, lambda_hat=lam)
+        _, res = enumerate_sign_residuals(zeroed, obs)
+        # candidates that differ only at zero-lambda factors tie exactly
+        assert np.unique(res).size == 4
+        chosen = resolve_signs_exhaustive(zeroed, obs)
+        assert chosen[[1, 3]].tolist() == [1.0, 1.0]
+        all_zero = dataclasses.replace(est, lambda_hat=np.zeros(4))
+        assert resolve_signs_exhaustive(all_zero, obs).tolist() == [1.0] * 4
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("n, d, r", [(1, 1, 1), (7, 3, 1), (12, 9, 2),
+                                         (25, 11, 3), (40, 30, 5), (9, 60, 4)])
+    def test_matches_brute_force(self, n, d, r):
+        rng = np.random.default_rng(n * 1000 + d * 10 + r)
+        U, V = rng.normal(size=(n, r)), rng.normal(size=(d, r))
+        coef = rng.normal(size=r) * 5
+        S = pair_m2_sums(U, V, coef)
+        ref = _brute_pair_sums(U, V, coef)
+        assert S.shape == (r, r)
+        assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 25), d=st.integers(2, 25), r=st.integers(1, 6),
+       frac=st.floats(0.05, 1.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_brute_force(n, d, r, frac, log_scale, seed):
+    r = min(r, n, d)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(n, r))
+    V = rng.normal(size=(d, r))
+    lam = rng.uniform(0.0, 2.0, r) * 10.0**log_scale
+    rows, cols = np.nonzero(rng.random((n, d)) < frac)
+    obs = ObservedMatrix(n, d, rows, cols, rng.normal(size=rows.size) * 10.0**log_scale)
+    est = _estimate(U, V, lam)
+
+    _, res = enumerate_sign_residuals(est, obs)
+    # rounding error scales with the largest term of ||y||^2 - 2 s.g + s^T H s
+    P = lam * U[obs.rows] * V[obs.cols]
+    scale = float(obs.vals @ obs.vals) + r * float((P**2).sum())
+    assert np.abs(res - _brute_residuals(est, obs)).max() <= 1e-12 * max(scale, 1e-300)
+
+    coef = lam * np.where(rng.random(r) < 0.5, -1.0, 1.0)
+    ref = _brute_pair_sums(U, V, coef)
+    S = pair_m2_sums(U, V, coef)
+    assert np.linalg.norm(S - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)

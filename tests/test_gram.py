@@ -6,8 +6,6 @@ import pytest
 from specmc import (GroundTruth, ObservedMatrix, bias_adjust,
                     expected_gram_left, expected_gram_right, gram_left,
                     gram_right, observed_fraction)
-from specmc.backends import (HAS_NUMBA, _gram_numpy, _predict_numpy,
-                             _pair_m2_sums_numpy, _sign_residuals_numpy)
 
 
 def _full(dense):
@@ -166,39 +164,3 @@ class TestMonteCarloOracles:
                     + n * truth.p**2 * truth.sigma**2 * np.eye(d))
         assert self._within_5se(adj, expected)
 
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_gram_bit_identical(self):
-        from specmc.backends import _gram_numba
-        rng = np.random.default_rng(1)
-        dense = rng.normal(size=(30, 12))
-        obs = ObservedMatrix.from_mask(dense, rng.random((30, 12)) < 0.4)
-        args = (obs.row_ptr(), obs.cols, obs.vals, obs.n_cols)
-        assert np.array_equal(_gram_numpy(*args), _gram_numba(*args))
-
-    def test_predict_and_residuals_close(self):
-        from specmc.backends import _predict_numba, _sign_residuals_numba
-        rng = np.random.default_rng(2)
-        U = rng.normal(size=(9, 3))
-        V = rng.normal(size=(6, 3))
-        coef = rng.normal(size=3)
-        rows = rng.integers(0, 9, 40)
-        cols = rng.integers(0, 6, 40)
-        a = _predict_numpy(U, V, coef, rows, cols)
-        b = _predict_numba(U, V, coef, rows, cols)
-        assert np.allclose(a, b, rtol=1e-13)
-        P = rng.normal(size=(40, 3))
-        y = rng.normal(size=40)
-        cand = np.array([[1.0, 1, 1], [1, -1, 1], [-1, -1, -1]])
-        assert np.allclose(_sign_residuals_numpy(P, y, cand),
-                           _sign_residuals_numba(P, y, cand), rtol=1e-12)
-
-    def test_pair_sums_close(self):
-        from specmc.backends import _pair_m2_sums_numba
-        rng = np.random.default_rng(3)
-        U = rng.normal(size=(25, 3))
-        V = rng.normal(size=(11, 3))
-        coef = rng.normal(size=3)
-        assert np.allclose(_pair_m2_sums_numpy(U, V, coef),
-                           _pair_m2_sums_numba(U, V, coef), rtol=1e-10)

@@ -51,6 +51,12 @@ class TestLoadTriplets:
         with pytest.raises(ValueError, match=":1:"):
             load_triplets(path)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_value_reports_lineno(self, tmp_path, token):
+        path = _write(tmp_path, "nf.tsv", f"1\t1\t5\n\n2\t2\t{token}\n")
+        with pytest.raises(ValueError, match=r"nf\.tsv:3: non-finite value"):
+            load_triplets(path)
+
     def test_ids_are_one_based(self, tmp_path):
         path = _write(tmp_path, "zero.tsv", "0\t1\t5\n")
         with pytest.raises(ValueError, match="1-based"):
@@ -89,6 +95,12 @@ class TestLoadDense:
     def test_ragged_rows(self, tmp_path):
         path = _write(tmp_path, "m.csv", "1,2\n3\n")
         with pytest.raises(ValueError, match="ragged"):
+            load_dense(path, "NA")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_lineno(self, tmp_path, token):
+        path = _write(tmp_path, "nf.csv", f"1,NA\n3,{token}\n")
+        with pytest.raises(ValueError, match=r"nf\.csv:2: non-finite cell"):
             load_dense(path, "NA")
 
 
@@ -180,6 +192,11 @@ class TestObservedMatrix:
         assert a.rows.tolist() == [0, 0, 1]
         assert a.cols.tolist() == [0, 1, 0]
         assert a.vals.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_cell(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite value .* \(row=2, col=0\)"):
+            ObservedMatrix(3, 2, [0, 2, 1], [1, 0, 1], [1.0, bad, 2.0])
 
     def test_arrays_frozen(self):
         a = ObservedMatrix(1, 1, [0], [0], [1.0])

@@ -65,6 +65,17 @@ class TestSymEig:
         ladder = sym_eig_desc(S, 4)
         assert np.abs(ladder.vectors.T @ ladder.vectors - np.eye(4)).max() <= 1e-8
 
+    def test_values_only(self):
+        rng = np.random.default_rng(5)
+        S = rng.normal(size=(9, 9))
+        S = S + S.T
+        full = sym_eig_desc(S)
+        only = sym_eig_desc(S, 0)
+        assert only.vectors.shape == (9, 0)
+        assert only.full_trace == full.full_trace and only.is_full
+        assert np.all(np.diff(only.values) <= 0)
+        assert np.abs(only.values - full.values).max() <= 1e-12 * np.abs(full.values).max()
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig_desc(np.array([[0.0, 1], [0, 0]]))
@@ -73,7 +84,7 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig_desc(np.eye(3), 4)
         with pytest.raises(ValueError):
-            sym_eig_desc(np.eye(3), 0)
+            sym_eig_desc(np.eye(3), -1)
 
     def test_sign_canonicalization_deterministic(self):
         rng = np.random.default_rng(3)
