@@ -24,7 +24,8 @@ from .signs import (CompletedMatrix, SIGN_BUDGET, assemble, complete,
 from .simulate import (SimConfig, SimResult, default_dim, generate_instance,
                        run_replicate, run_replicates)
 from .spectral import (ClampWarning, EigenLadder, SpectralEstimate,
-                       estimate_singular_triplets, singular_values_from_eigs,
-                       sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
+                       estimate_singular_triplets, right_ladder,
+                       singular_values_from_eigs, sym_eig_desc,
+                       top_gram_eigenpairs, trailing_eig_mean)
 
 __version__ = "0.1.0"

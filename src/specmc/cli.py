@@ -12,14 +12,14 @@ import sys
 import numpy as np
 
 from .data import ObservedMatrix
-from .gram import bias_adjust, gram_right, observed_fraction
+from .gram import observed_fraction
 from .inference import build_report
 from .io import IoOptions, load_dense, load_triplets, write_report
 from .metrics import rmse_on_omega
 from .rank import estimate_rank, scree
 from .signs import complete, predict_entry
 from .simulate import SimConfig, run_replicates
-from .spectral import estimate_singular_triplets, sym_eig_desc
+from .spectral import estimate_singular_triplets, right_ladder
 
 
 def _log(msg):
@@ -91,6 +91,15 @@ def _add_input_flags(sp):
                     help="duplicate (row, col) policy (triplets only)")
 
 
+def _add_estimate_flags(sp, sign_method=True):
+    sp.add_argument("--rank", type=_rank_arg, required=True,
+                    help="factor count, or 'auto'")
+    sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
+    if sign_method:
+        sp.add_argument("--sign-method", choices=("exhaustive", "heuristic", "auto"),
+                        default="auto")
+
+
 def _load_input(args):
     if args.input_format == "dense":
         obs = load_dense(args.input, args.missing_token, args.delimiter or ",")
@@ -103,37 +112,22 @@ def _load_input(args):
     return obs
 
 
-def _right_ladder(obs):
-    """Full value ladder of the debiased right gram; no eigenvectors."""
-    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), 0)
-
-
-def _resolve_rank(args, obs):
-    if args.rank != "auto":
-        return args.rank, None
-    decision = estimate_rank(_right_ladder(obs), observed_fraction(obs),
-                             obs.n_rows, obs.n_cols, args.cd_const)
-    _log(f"rank selection: r_hat={decision.r_hat} "
-         f"floor={decision.threshold:.6g} (c={decision.c_const})")
-    if not (1 <= decision.r_hat < min(obs.shape)):
-        raise ValueError(
-            f"automatic rank selection gave r_hat={decision.r_hat}; "
-            "pass --rank explicitly")
-    return decision.r_hat, decision
+def _estimate(args, obs):
+    est = estimate_singular_triplets(obs, args.rank, args.cd_const)
+    if args.rank == "auto":
+        _log(f"rank selection: r_hat={est.rank} (c={args.cd_const})")
+    return est
 
 
 def cmd_estimate(args):
     obs = _load_input(args)
-    rank, _ = _resolve_rank(args, obs)
-    est = estimate_singular_triplets(obs, rank)
+    est = _estimate(args, obs)
     write_report(est, args.output, "json")
     return 0
 
 
 def _completed(args, obs):
-    rank, _ = _resolve_rank(args, obs)
-    est = estimate_singular_triplets(obs, rank)
-    cm = complete(obs, est, args.sign_method)
+    cm = complete(obs, _estimate(args, obs), args.sign_method)
     _log(f"signs ({cm.method}): {' '.join('%+d' % s for s in cm.signs)}")
     return cm
 
@@ -150,25 +144,25 @@ def cmd_complete(args):
     return 0
 
 
+def _scree_rows(args, ladder):
+    k = args.k if args.k is not None else min(50, ladder.dim)
+    return [{"index": i, "eigenvalue": v} for i, v in scree(ladder, k)]
+
+
 def cmd_rank(args):
     obs = _load_input(args)
-    ladder = _right_ladder(obs)
+    ladder = right_ladder(obs)
     decision = estimate_rank(ladder, observed_fraction(obs),
                              obs.n_rows, obs.n_cols, args.cd_const)
     write_report(decision, args.output, "json")
     if args.scree_out:
-        k = args.k if args.k is not None else min(50, ladder.dim)
-        rows = [{"index": i, "eigenvalue": v} for i, v in scree(ladder, k)]
-        write_report(rows, args.scree_out, "csv")
+        write_report(_scree_rows(args, ladder), args.scree_out, "csv")
     return 0
 
 
 def cmd_scree(args):
     obs = _load_input(args)
-    ladder = _right_ladder(obs)
-    k = args.k if args.k is not None else min(50, ladder.dim)
-    rows = [{"index": i, "eigenvalue": v} for i, v in scree(ladder, k)]
-    write_report(rows, args.output, args.format)
+    write_report(_scree_rows(args, right_ladder(obs)), args.output, args.format)
     return 0
 
 
@@ -209,14 +203,7 @@ def cmd_eval(args):
         train = load_triplets(train_path, IoOptions(**opts_proto))
         test = load_triplets(test_path, IoOptions(**opts_proto))
         train, test = _unify_dims(train, test)
-        rank = args.rank if args.rank != "auto" else None
-        if rank is None:
-            decision = estimate_rank(_right_ladder(train),
-                                     observed_fraction(train),
-                                     train.n_rows, train.n_cols, args.cd_const)
-            rank = decision.r_hat
-        est = estimate_singular_triplets(train, rank)
-        cm = complete(train, est, args.sign_method)
+        cm = complete(train, _estimate(args, train), args.sign_method)
         value = rmse_on_omega(cm, test)
         _log(f"fold {train_path} -> {test_path}: rmse={value:.6f}")
         folds.append({"train": train_path, "test": test_path, "rmse": value})
@@ -265,18 +252,13 @@ def build_parser():
 
     sp = sub.add_parser("estimate", help="estimate singular triplets")
     _add_input_flags(sp)
-    sp.add_argument("--rank", type=_rank_arg, required=True,
-                    help="factor count, or 'auto'")
-    sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
+    _add_estimate_flags(sp, sign_method=False)
     common_out(sp)
     sp.set_defaults(func=cmd_estimate)
 
     sp = sub.add_parser("complete", help="estimate, resolve signs, assemble")
     _add_input_flags(sp)
-    sp.add_argument("--rank", type=_rank_arg, required=True)
-    sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
-    sp.add_argument("--sign-method", choices=("exhaustive", "heuristic", "auto"),
-                    default="auto")
+    _add_estimate_flags(sp)
     sp.add_argument("--dense-out", default=None,
                     help="also write the dense completion as CSV")
     sp.add_argument("--predict", type=_predict_arg, action="append",
@@ -294,10 +276,7 @@ def build_parser():
 
     sp = sub.add_parser("infer", help="confidence intervals for singular values")
     _add_input_flags(sp)
-    sp.add_argument("--rank", type=_rank_arg, required=True)
-    sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
-    sp.add_argument("--sign-method", choices=("exhaustive", "heuristic", "auto"),
-                    default="auto")
+    _add_estimate_flags(sp)
     sp.add_argument("--alpha", type=float, default=0.05)
     common_out(sp)
     sp.set_defaults(func=cmd_infer)
@@ -309,10 +288,7 @@ def build_parser():
                     help="comma-separated train:test pairs")
     sp.add_argument("--delimiter", type=_delimiter, default=None)
     sp.add_argument("--dedup", choices=("error", "average"), default="error")
-    sp.add_argument("--rank", type=_rank_arg, required=True)
-    sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
-    sp.add_argument("--sign-method", choices=("exhaustive", "heuristic", "auto"),
-                    default="auto")
+    _add_estimate_flags(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="json report or CSV of per-fold rows")
     common_out(sp)

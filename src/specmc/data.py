@@ -180,20 +180,25 @@ class GroundTruth:
         if not (1 <= rank <= min(M0.shape)):
             raise ValueError("rank out of range")
         Uf, s, Vt = np.linalg.svd(M0, full_matrices=False)
-        U, lam, V = Uf[:, :rank], s[:rank], Vt[:rank].T
-        # joint sign canonicalization keeps U diag(lam) V^T unchanged
-        for i in range(rank):
-            j = int(np.argmax(np.abs(U[:, i])))
-            if U[j, i] < 0:
-                U[:, i] = -U[:, i]
-                V[:, i] = -V[:, i]
-        return cls(M0, U, V, lam, float(sigma), float(p))
+        return cls._signed(M0, Uf[:, :rank], s[:rank], Vt[:rank].T, sigma, p)
 
     @classmethod
     def from_factors(cls, A, B, sigma, p):
-        """Build from raw (not necessarily orthogonal) factors M0 = A B^T."""
+        """Build from raw factors M0 = A B^T. The SVD comes from thin QRs of A
+        and B and the SVD of the r x r core, O((n + d) r^2) flops."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
             raise ValueError("factor shapes incompatible")
-        return cls.from_matrix(A @ B.T, A.shape[1], sigma, p)
+        if not (1 <= A.shape[1] <= min(A.shape[0], B.shape[0])):
+            raise ValueError("rank out of range")
+        (Qa, Ra), (Qb, Rb) = np.linalg.qr(A), np.linalg.qr(B)
+        Uc, s, Vct = np.linalg.svd(Ra @ Rb.T)
+        return cls._signed(A @ B.T, Qa @ Uc, s, Qb @ Vct.T, sigma, p)
+
+    @classmethod
+    def _signed(cls, M0, U, lam, V, sigma, p):
+        # joint sign canonicalization keeps U diag(lam) V^T unchanged
+        j = np.argmax(np.abs(U), axis=0)
+        flip = np.where(U[j, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+        return cls(M0, U * flip, V * flip, lam, float(sigma), float(p))

@@ -5,24 +5,10 @@ diagonal distortion proportional to (1 - p) plus a noise shift; rescaling the
 diagonal by the observed fraction removes the distortion so that the leading
 eigenvectors estimate the clean singular vectors. The expected-gram helpers
 evaluate the exact finite-sample means and exist for oracle tests.
+The gram is a blocked dense product, O(n d^2) flops in O(d^2) memory.
 """
 
 import numpy as np
-
-
-def _gram_accumulate(row_ptr, cols, vals, dim):
-    # For each row of the sparse structure, add the outer product of that
-    # row's observed support. Rows are visited in order, so every output cell
-    # receives one addend per row, in row order. The per-call overhead stays
-    # low on tiny inputs, where a sparse-matrix product costs several times more.
-    g = np.zeros((dim, dim))
-    for k in range(row_ptr.size - 1):
-        lo, hi = row_ptr[k], row_ptr[k + 1]
-        if hi > lo:
-            c = cols[lo:hi]
-            v = vals[lo:hi]
-            g[np.ix_(c, c)] += np.outer(v, v)
-    return g
 
 
 def observed_fraction(obs):
@@ -34,8 +20,26 @@ def observed_fraction(obs):
 
 
 def gram_right(obs):
-    """M^T M of the zero-imputed matrix, (d, d), exactly symmetric."""
-    return _gram_accumulate(obs.row_ptr(), obs.cols, obs.vals, obs.n_cols)
+    """M^T M of the zero-imputed matrix, (d, d), exactly symmetric.
+
+    Each block Z of at most d zero-imputed rows adds Z^T Z (a BLAS syrk).
+    The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
+    input is slow here, though the O(d^3) eigh that follows is slower still.
+    """
+    n, d = obs.shape
+    g = np.zeros((d, d))
+    ptr = obs.row_ptr()
+    block = max(d, 1)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        a, b = ptr[lo], ptr[hi]
+        z = np.zeros((hi - lo, d))
+        z[obs.rows[a:b] - lo, obs.cols[a:b]] = obs.vals[a:b]
+        if lo == 0:
+            g = z.T @ z  # no d x d temporary when one block covers all rows
+        else:
+            g += z.T @ z
+    return g
 
 
 def gram_left(obs):
@@ -44,8 +48,7 @@ def gram_left(obs):
     The estimator never forms it (see spectral.top_gram_eigenpairs); it is
     the dense reference that tests compare against.
     """
-    t = obs.transpose()
-    return _gram_accumulate(t.row_ptr(), t.cols, t.vals, t.n_cols)
+    return gram_right(obs.transpose())
 
 
 def bias_adjust(gram, p_hat):

@@ -153,10 +153,7 @@ def complete(obs: ObservedMatrix, est: SpectralEstimate, method="auto"):
 
 def predict_entry(cm, k, h):
     """Single completed-matrix entry from the factor form."""
-    n, d = cm.shape
-    if not (0 <= k < n and 0 <= h < d):
-        raise IndexError(f"entry ({k}, {h}) outside {n}x{d}")
-    return float(cm.coef() @ (cm.estimate.U_hat[k] * cm.estimate.V_hat[h]))
+    return float(predict_entries(cm, [k], [h])[0])
 
 
 def predict_entries(cm, rows, cols):
@@ -164,8 +161,9 @@ def predict_entries(cm, rows, cols):
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     n, d = cm.shape
-    if rows.size and (rows.min() < 0 or rows.max() >= n
-                      or cols.min() < 0 or cols.max() >= d):
-        raise IndexError("prediction index out of range")
+    bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= d)
+    if bad.any():
+        t = int(np.flatnonzero(bad)[0])
+        raise IndexError(f"entry ({rows[t]}, {cols[t]}) outside {n}x{d}")
     return np.einsum("ti,ti->t", cm.estimate.U_hat[rows] * cm.coef(),
                      cm.estimate.V_hat[cols])

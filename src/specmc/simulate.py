@@ -7,6 +7,7 @@ Philox stream keyed by (seed, replicate index), so any subset of replicates
 can be regenerated bit-identically, in any order and on any worker count.
 """
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,14 +53,8 @@ class SimConfig:
         if not (1 <= self.metrics_m <= self.true_rank):
             raise ValueError("metrics_m must be in [1, true_rank]")
         if self.d > self.n:
-            import warnings
-
-            warnings.warn(
-                f"d={self.d} exceeds n={self.n}; the tall-matrix regime is "
-                "the intended one",
-                UserWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"d={self.d} exceeds n={self.n}; the tall-matrix regime is "
+                          "the intended one", UserWarning, stacklevel=2)
 
     def to_dict(self):
         return {

@@ -6,21 +6,23 @@ singular values from the leading eigenvalues after subtracting the mean
 trailing eigenvalue (a noise-floor estimate) and rescaling by the observed
 fraction.
 
-The d x d right gram is formed and fully diagonalised, because rank
-selection, the scree and the noise floor read its whole ladder. The n x n
+The d x d right gram is formed and fully diagonalised once per request
+(`right_ladder`), because rank selection, the scree and the noise floor read
+its whole ladder. The n x n
 left gram is never formed: its top-r eigenpairs come from Lanczos iterations
 (ARPACK) on an operator that costs O(nnz) per product, so memory stays
 O(nnz + d^2) however many rows the matrix has.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .data import ObservedMatrix
 from .gram import bias_adjust, gram_right, observed_fraction
+from .rank import estimate_rank
 
 _SYM_TOL = 1e-10
 
@@ -167,10 +169,18 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
                        full_trace=p_hat * float(rowsq.sum()), dim=dim)
 
 
-def trailing_eig_mean(ladder, r, dim=None):
+def right_ladder(obs, k=0):
+    """Descending spectrum of the debiased right gram, with top-k eigenvectors.
+
+    The gram is bias_adjust(gram_right(obs), p_hat). k=0 computes the values
+    alone and k=None keeps every eigenvector (see sym_eig_desc).
+    """
+    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), k)
+
+
+def trailing_eig_mean(ladder, r):
     """Mean of the trailing dim-r eigenvalues via the trace shortcut."""
-    if dim is None:
-        dim = ladder.dim
+    dim = ladder.dim
     if not (0 <= r < dim):
         raise ValueError(f"need 0 <= r < dim, got r={r}, dim={dim}")
     return (ladder.full_trace - float(ladder.values[:r].sum())) / (dim - r)
@@ -196,22 +206,33 @@ def singular_values_from_eigs(top_values, tau_hat, p_hat):
     return np.sqrt(np.clip(radicand, 0.0, None)) / p_hat, n_clamped
 
 
-def estimate_singular_triplets(obs: ObservedMatrix, rank: int) -> SpectralEstimate:
+def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
+                               c_const: float = 1.0) -> SpectralEstimate:
     """Estimate the top-`rank` singular triplets from observed entries.
 
     Steps: observed fraction -> full eigendecomposition of the debiased
-    right gram -> top-`rank` eigenpairs of the debiased left gram by
-    Lanczos, without forming it -> noise floor from the trailing right
-    eigenvalues -> singular values. `left_ladder` holds only the top
-    `rank` left eigenvalues; `right_ladder` holds all d.
+    right gram (`right_ladder`) -> top-`rank` eigenpairs of the debiased
+    left gram by Lanczos, without forming it -> noise floor from the
+    trailing right eigenvalues -> singular values. `left_ladder` holds only
+    the top `rank` left eigenvalues; `right_ladder` holds all d.
+
+    rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
+    on that same ladder, so the gram is diagonalised once and the result
+    equals that of rank=r_hat; an r_hat outside [1, min(n, d)) raises.
     """
     n, d = obs.shape
-    if not (1 <= rank < min(n, d)):
+    if rank != "auto" and not (1 <= rank < min(n, d)):
         raise ValueError(f"rank must be in [1, {min(n, d) - 1}], got {rank}")
     if obs.nnz == 0:
         raise ValueError("cannot estimate from an empty mask")
     p_hat = observed_fraction(obs)
-    right = sym_eig_desc(bias_adjust(gram_right(obs), p_hat), rank)
+    right = right_ladder(obs, None if rank == "auto" else rank)
+    if rank == "auto":
+        rank = estimate_rank(right, p_hat, n, d, c_const).r_hat
+        if not (1 <= rank < min(n, d)):
+            raise ValueError(f"automatic rank selection gave r_hat={rank}; "
+                             "pass an explicit rank")
+        right = replace(right, vectors=right.vectors[:, :rank].copy())
     left = top_gram_eigenpairs(obs.to_csr(), rank, p_hat)
     tau_hat = trailing_eig_mean(right, rank)
     lambda_hat, n_clamped = singular_values_from_eigs(right.values[:rank], tau_hat, p_hat)

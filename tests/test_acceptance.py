@@ -41,7 +41,8 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="module", autouse=True)
 def _warmup():
-    # compile the jitted kernels so timed checks measure the algorithms
+    # pay first-call costs (BLAS, LAPACK and ARPACK setup) once, so the timed
+    # checks measure the algorithms
     rng = np.random.default_rng(0)
     dense = rng.normal(size=(6, 4))
     obs = ObservedMatrix.from_mask(dense, rng.random((6, 4)) < 0.8)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from specmc import ObservedMatrix, estimate_singular_triplets
 from specmc.cli import main
 
 
@@ -132,6 +133,53 @@ class TestRankAndScree:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["index"] == 1
+
+
+class TestAutoRank:
+    """--rank auto picks r_hat from the estimator's own eigendecomposition."""
+
+    @pytest.mark.parametrize("command", ["estimate", "complete", "infer"])
+    def test_same_bytes_as_explicit_rank(self, tmp_path, command):
+        path = _rank3_file(tmp_path)
+        reports = []
+        for rank in ("auto", "3"):
+            out = tmp_path / f"{command}_{rank}.json"
+            assert _run([command, "--input", path, "--rank", rank,
+                         "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_eval_same_rmse_as_explicit_rank(self, tmp_path):
+        with open(_rank3_file(tmp_path)) as f:
+            lines = f.readlines()
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        train.write_text("".join(line for i, line in enumerate(lines) if i % 5))
+        test.write_text("".join(lines[::5]))
+        rmse = {}
+        for rank in ("auto", "3"):
+            out = tmp_path / f"eval_{rank}.json"
+            assert _run(["eval", "--train", str(train), "--test", str(test),
+                         "--rank", rank, "--output", str(out)]) == 0
+            rmse[rank] = json.loads(out.read_text())["rmse_mean"]
+        assert rmse["auto"] == rmse["3"]
+
+    def test_one_eigensolve_per_estimate(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert _run(["estimate", "--input", _rank3_file(tmp_path), "--rank",
+                     "auto", "--output", str(tmp_path / "est.json")]) == 0
+        assert calls == ["eigh"]
+
+    def test_pure_noise_names_r_hat(self):
+        rng = np.random.default_rng(5)
+        obs = ObservedMatrix.from_mask(rng.normal(size=(300, 60)),
+                                       rng.random((300, 60)) < 0.5)
+        with pytest.raises(ValueError, match="r_hat=0"):
+            estimate_singular_triplets(obs, "auto")
 
 
 class TestInfer:

@@ -45,13 +45,24 @@ class TestGram:
 
     def test_matches_dense_products(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            dense = rng.normal(size=(6, 4))
-            mask = rng.random((6, 4)) < 0.6
-            obs = ObservedMatrix.from_mask(dense, mask)
+        masks = [rng.random((6, 4)) < 0.6 for _ in range(10)]
+        # the right gram takes blocks of d rows and the left one blocks of n
+        # columns: n = d-1, d, d+1, 2d+1 and the transposed shapes cross them
+        d = 4
+        for n in (d - 1, d, d + 1, 2 * d + 1):
+            masks += [rng.random((n, d)) < 0.6, rng.random((d, n)) < 0.6]
+        no_rows = rng.random((9, 4)) < 0.6
+        no_rows[[0, 4, 5, 8]] = False  # empty rows, also at block edges
+        no_col = rng.random((7, 5)) < 0.7
+        no_col[:, 2] = False
+        masks += [no_rows, no_rows.T, no_col, no_col.T, np.zeros((5, 3), bool)]
+        masks.append(rng.random((700, 300)) < 0.5)  # large enough to need syrk
+        for mask in masks:
+            obs = ObservedMatrix.from_mask(rng.normal(size=mask.shape), mask)
             M = obs.to_dense()
-            assert np.allclose(gram_right(obs), M.T @ M, atol=1e-12)
-            assert np.allclose(gram_left(obs), M @ M.T, atol=1e-12)
+            for got, ref in ((gram_right(obs), M.T @ M), (gram_left(obs), M @ M.T)):
+                assert np.array_equal(got, got.T)
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from specmc import SimConfig, default_dim, generate_instance, run_replicates
+from specmc import (GroundTruth, SimConfig, default_dim, generate_instance,
+                    run_replicates)
 from specmc.io import dumps_csv
 
 
@@ -67,6 +68,21 @@ class TestGenerate:
         truth, _ = generate_instance(config, 0)
         assert np.abs(truth.U.T @ truth.U - np.eye(2)).max() <= 1e-10
         assert np.all(np.diff(truth.lambdas) <= 0)
+
+    @pytest.mark.parametrize("n,d,r", [(1000, 63, 2), (40, 300, 3), (30, 8, 1), (5, 5, 5)])
+    def test_from_factors_matches_dense_svd(self, n, d, r):
+        rng = np.random.default_rng(n + d + r)
+        A, B = rng.uniform(-5, 5, (n, r)), rng.uniform(-5, 5, (d, r))
+        fast = GroundTruth.from_factors(A, B, 1.0, 0.5)
+        dense = GroundTruth.from_matrix(A @ B.T, r, 1.0, 0.5)
+        assert fast.M0.tobytes() == dense.M0.tobytes()
+        for name in ("lambdas", "U", "V"):
+            a, b = getattr(fast, name), getattr(dense, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_from_factors_rank_out_of_range(self):
+        with pytest.raises(ValueError, match="rank out of range"):
+            GroundTruth.from_factors(np.ones((1, 2)), np.ones((3, 2)), 1.0, 0.5)
 
 
 class TestRunReplicates:
