@@ -9,6 +9,7 @@ The gram is a blocked dense product, O(n d^2) flops in O(d^2) memory.
 """
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 
 def observed_fraction(obs):
@@ -19,12 +20,26 @@ def observed_fraction(obs):
     return obs.nnz / (n * d)
 
 
+def crossprod(A):
+    """A^T A of a (k, m) matrix, exactly symmetric.
+
+    Computed by scipy's BLAS syrk, the OpenBLAS that ARPACK also calls.
+    numpy's matmul would use numpy's own OpenBLAS, and on the sign-scan and
+    inference shapes it wakes that library's worker thread, which then
+    spins on a core beside the worker ARPACK keeps busy.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    c = dsyrk(1.0, A.T)  # upper triangle; a C-ordered A is passed without a copy
+    return np.triu(c) + np.triu(c, 1).T
+
+
 def gram_right(obs):
     """M^T M of the zero-imputed matrix, (d, d), exactly symmetric.
 
     Each block Z of at most d zero-imputed rows adds Z^T Z (a BLAS syrk).
     The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
-    input is slow here, though the O(d^3) eigh that follows is slower still.
+    input is slow here; only requests that read the full right spectrum
+    (rank selection, the scree) form it.
     """
     n, d = obs.shape
     g = np.zeros((d, d))

@@ -20,6 +20,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .gram import crossprod
+
 
 @dataclass(frozen=True)
 class InferenceReport:
@@ -69,7 +71,7 @@ def pair_m2_sums(U, V, coef):
     r = coef.size
     A = (U[:, :, None] * U[:, None, :]).reshape(U.shape[0], r * r)
     B = (V[:, :, None] * V[:, None, :]).reshape(V.shape[0], r * r)
-    return (np.outer(coef, coef).ravel() @ ((A.T @ A) * (B.T @ B))).reshape(r, r)
+    return (np.outer(coef, coef).ravel() @ (crossprod(A) * crossprod(B))).reshape(r, r)
 
 
 def singular_value_covariance(cm, noise_var):

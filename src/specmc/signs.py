@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ObservedMatrix
+from .gram import crossprod
 from .spectral import SpectralEstimate, top_gram_eigenpairs
 
 SIGN_BUDGET = 12
+_CELL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,22 @@ def enumerate_sign_residuals(est, obs):
     Each residual ||P s - y||^2 is evaluated in closed form from P^T y and
     P^T P, with P[t] = lambda_hat * U_hat[row_t] * V_hat[col_t].
     """
-    P = est.lambda_hat * est.U_hat[obs.rows] * est.V_hat[obs.cols]
-    y = obs.vals
-    cand = sign_candidates(est.rank)
-    quad = ((cand @ (P.T @ P)) * cand).sum(axis=1)
-    return cand, (y @ y) - 2.0 * (cand @ (P.T @ y)) + quad
+    r = est.rank
+    # the gram of [P | y] holds P^T P, P^T y and ||y||^2; crossprod keeps it
+    # off numpy's BLAS thread pool, and summing over blocks of cells
+    # allocates no nnz-long array per call
+    G = np.zeros((r + 1, r + 1))
+    for start in range(0, obs.nnz, _CELL_BLOCK):
+        block = slice(start, start + _CELL_BLOCK)
+        rows, cols = obs.rows[block], obs.cols[block]
+        Q = np.empty((rows.size, r + 1))
+        np.multiply(est.U_hat[rows], est.V_hat[cols], out=Q[:, :r])
+        Q[:, :r] *= est.lambda_hat
+        Q[:, r] = obs.vals[block]
+        G += crossprod(Q)
+    cand = sign_candidates(r)
+    quad = ((cand @ G[:r, :r]) * cand).sum(axis=1)
+    return cand, G[r, r] - 2.0 * (cand @ G[:r, r]) + quad
 
 
 def resolve_signs_exhaustive(est, obs, budget=SIGN_BUDGET):

@@ -6,16 +6,17 @@ singular values from the leading eigenvalues after subtracting the mean
 trailing eigenvalue (a noise-floor estimate) and rescaling by the observed
 fraction.
 
-The d x d right gram is formed and fully diagonalised once per request
-(`right_ladder`), because rank selection, the scree and the noise floor read
-its whole ladder. The n x n
-left gram is never formed: its top-r eigenpairs come from Lanczos iterations
-(ARPACK) on an operator that costs O(nnz) per product, so memory stays
-O(nnz + d^2) however many rows the matrix has.
+Neither gram is formed by the estimator at an explicit rank: the top-r
+eigenpairs of each come from Lanczos iterations (ARPACK) on an operator that
+costs O(nnz) per product, the noise floor uses the trace shortcut, and memory
+stays O(nnz + (n + d) * r). The full d x d right gram is built and
+diagonalised for its values (`right_ladder`) only where its whole ladder is
+read: rank selection, the scree, rank="auto" and
+`SpectralEstimate.right_ladder`.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -62,7 +63,14 @@ class EigenLadder:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Estimated singular triplets of a partially observed matrix."""
+    """Estimated singular triplets of a partially observed matrix.
+
+    `left_ladder` holds the top `rank` eigenpairs of the debiased left gram.
+    `right_ladder` is the full descending spectrum of the debiased right gram
+    with V_hat as its vectors; it is computed from `obs` the first time it is
+    read and then kept, so an estimate that is never asked for it never forms
+    the d x d gram.
+    """
 
     U_hat: np.ndarray
     V_hat: np.ndarray
@@ -70,13 +78,29 @@ class SpectralEstimate:
     p_hat: float
     tau_hat: float
     rank: int
-    right_ladder: EigenLadder
     left_ladder: EigenLadder
     n_clamped: int = 0
+    obs: ObservedMatrix | None = field(default=None, repr=False, compare=False)
+    _right: EigenLadder | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def shape(self):
         return (self.U_hat.shape[0], self.V_hat.shape[0])
+
+    @property
+    def right_ladder(self):
+        """Full spectrum of the debiased right gram, with V_hat as its vectors."""
+        if self._right is None:
+            if self.obs is None:
+                raise ValueError("right_ladder needs the observations (obs)")
+            self._keep_right(right_ladder(self.obs))
+        return self._right
+
+    def _keep_right(self, spectrum):
+        # the cache is the one attribute set after construction
+        object.__setattr__(self, "_right", EigenLadder(
+            spectrum.values, self.V_hat, spectrum.full_trace))
 
     def signal_scales(self):
         """Estimated singular values normalized by sqrt(n*d)."""
@@ -169,13 +193,13 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
                        full_trace=p_hat * float(rowsq.sum()), dim=dim)
 
 
-def right_ladder(obs, k=0):
-    """Descending spectrum of the debiased right gram, with top-k eigenvectors.
+def right_ladder(obs):
+    """Descending spectrum of the debiased right gram, values only.
 
-    The gram is bias_adjust(gram_right(obs), p_hat). k=0 computes the values
-    alone and k=None keeps every eigenvector (see sym_eig_desc).
+    The gram is bias_adjust(gram_right(obs), p_hat); it is formed densely and
+    diagonalised by `eigvalsh`, at O(n*d^2 + d^3) time and O(d^2) memory.
     """
-    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), k)
+    return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), 0)
 
 
 def trailing_eig_mean(ladder, r):
@@ -210,15 +234,16 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
                                c_const: float = 1.0) -> SpectralEstimate:
     """Estimate the top-`rank` singular triplets from observed entries.
 
-    Steps: observed fraction -> full eigendecomposition of the debiased
-    right gram (`right_ladder`) -> top-`rank` eigenpairs of the debiased
-    left gram by Lanczos, without forming it -> noise floor from the
-    trailing right eigenvalues -> singular values. `left_ladder` holds only
-    the top `rank` left eigenvalues; `right_ladder` holds all d.
+    Steps: observed fraction -> top-`rank` eigenpairs of the debiased right
+    and left grams by Lanczos, without forming either -> noise floor from
+    the trace shortcut -> singular values. Both ladders the estimator reads
+    are top-`rank`, so memory is O(nnz + (n + d) * rank); the full right
+    ladder (`SpectralEstimate.right_ladder`) is computed only when read.
 
     rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
-    on that same ladder, so the gram is diagonalised once and the result
-    equals that of rank=r_hat; an r_hat outside [1, min(n, d)) raises.
+    on the values-only `right_ladder(obs)`, which the estimate then keeps as
+    its right ladder; the result equals that of rank=r_hat. An r_hat outside
+    [1, min(n, d)) raises.
     """
     n, d = obs.shape
     if rank != "auto" and not (1 <= rank < min(n, d)):
@@ -226,24 +251,29 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     if obs.nnz == 0:
         raise ValueError("cannot estimate from an empty mask")
     p_hat = observed_fraction(obs)
-    right = right_ladder(obs, None if rank == "auto" else rank)
+    spectrum = None
     if rank == "auto":
-        rank = estimate_rank(right, p_hat, n, d, c_const).r_hat
+        spectrum = right_ladder(obs)
+        rank = estimate_rank(spectrum, p_hat, n, d, c_const).r_hat
         if not (1 <= rank < min(n, d)):
             raise ValueError(f"automatic rank selection gave r_hat={rank}; "
                              "pass an explicit rank")
-        right = replace(right, vectors=right.vectors[:, :rank].copy())
-    left = top_gram_eigenpairs(obs.to_csr(), rank, p_hat)
+    X = obs.to_csr()
+    right = top_gram_eigenpairs(X.T, rank, p_hat)
+    left = top_gram_eigenpairs(X, rank, p_hat)
     tau_hat = trailing_eig_mean(right, rank)
-    lambda_hat, n_clamped = singular_values_from_eigs(right.values[:rank], tau_hat, p_hat)
-    return SpectralEstimate(
+    lambda_hat, n_clamped = singular_values_from_eigs(right.values, tau_hat, p_hat)
+    est = SpectralEstimate(
         U_hat=left.vectors,
         V_hat=right.vectors,
         lambda_hat=lambda_hat,
         p_hat=p_hat,
         tau_hat=tau_hat,
         rank=rank,
-        right_ladder=right,
         left_ladder=left,
         n_clamped=n_clamped,
+        obs=obs,
     )
+    if spectrum is not None:
+        est._keep_right(spectrum)
+    return est

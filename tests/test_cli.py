@@ -172,7 +172,7 @@ class TestAutoRank:
             monkeypatch.setattr(np.linalg, name, counted)
         assert _run(["estimate", "--input", _rank3_file(tmp_path), "--rank",
                      "auto", "--output", str(tmp_path / "est.json")]) == 0
-        assert calls == ["eigh"]
+        assert calls == ["eigvalsh"]
 
     def test_pure_noise_names_r_hat(self):
         rng = np.random.default_rng(5)

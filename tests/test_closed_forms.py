@@ -17,16 +17,15 @@ from hypothesis import strategies as st
 from specmc import (ObservedMatrix, enumerate_sign_residuals,
                     estimate_singular_triplets, resolve_signs_exhaustive)
 from specmc.inference import pair_m2_sums
-from specmc.signs import sign_candidates
+from specmc.signs import _CELL_BLOCK, sign_candidates
 from specmc.spectral import EigenLadder, SpectralEstimate
 
 
 def _estimate(U, V, lam):
-    """SpectralEstimate carrying the given factors; the ladders are unused."""
+    """SpectralEstimate carrying the given factors; the left ladder is unused."""
     (n, r), d = U.shape, V.shape[0]
     return SpectralEstimate(
         U_hat=U, V_hat=V, lambda_hat=lam, p_hat=0.5, tau_hat=0.0, rank=r,
-        right_ladder=EigenLadder(np.zeros(r), np.eye(d, r), 0.0, dim=d),
         left_ladder=EigenLadder(np.zeros(r), np.eye(n, r), 0.0, dim=n),
     )
 
@@ -82,6 +81,19 @@ class TestSignResiduals:
         dense = A @ B.T + rng.normal(size=(40, 25))
         obs = ObservedMatrix.from_mask(dense, rng.random((40, 25)) < 0.6)
         est = estimate_singular_triplets(obs, r)
+        _, res = enumerate_sign_residuals(est, obs)
+        tol = 1e-12 * float(obs.vals @ obs.vals)
+        assert np.abs(res - _brute_residuals(est, obs)).max() <= tol
+
+    @pytest.mark.parametrize("nnz", [_CELL_BLOCK - 1, _CELL_BLOCK, _CELL_BLOCK + 1,
+                                     2 * _CELL_BLOCK + 17])
+    def test_cell_blocks(self, nnz):
+        # the gram of [P | y] is summed over blocks of cells: cross their edges
+        rng = np.random.default_rng(300 + nnz)
+        n, d, r = 120, 80, 3
+        cells = rng.permutation(n * d)[:nnz]
+        obs = ObservedMatrix(n, d, cells // d, cells % d, rng.normal(size=nnz))
+        _, est = _random_problem(rng, n, d, r, 0.5)
         _, res = enumerate_sign_residuals(est, obs)
         tol = 1e-12 * float(obs.vals @ obs.vals)
         assert np.abs(res - _brute_residuals(est, obs)).max() <= tol

@@ -6,6 +6,7 @@ import pytest
 from specmc import (GroundTruth, ObservedMatrix, bias_adjust,
                     expected_gram_left, expected_gram_right, gram_left,
                     gram_right, observed_fraction)
+from specmc.gram import crossprod
 
 
 def _full(dense):
@@ -24,6 +25,23 @@ class TestObservedFraction:
     def test_zero_size(self):
         with pytest.raises(ValueError):
             observed_fraction(ObservedMatrix(0, 3, [], [], []))
+
+
+class TestCrossprod:
+    def test_matches_matmul(self):
+        rng = np.random.default_rng(10)
+        mats = [rng.normal(size=shape) for shape in
+                [(1, 1), (5, 3), (3, 5), (4097, 13), (943, 144)]]
+        base = rng.normal(size=(50, 12))
+        mats += [base[:, ::2], np.asfortranarray(base), base[::3]]  # strided, F-ordered
+        for A in mats:
+            got = crossprod(A)
+            ref = A.T @ A
+            assert np.array_equal(got, got.T)
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_empty_rows(self):
+        assert not crossprod(np.zeros((0, 4))).any()
 
 
 class TestGram:

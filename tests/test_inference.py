@@ -24,7 +24,6 @@ def _plugin_cm(truth, p_hat, signs=None):
     est = SpectralEstimate(
         U_hat=truth.U.copy(), V_hat=truth.V.copy(),
         lambda_hat=truth.lambdas.copy(), p_hat=p_hat, tau_hat=0.0, rank=r,
-        right_ladder=EigenLadder(np.zeros(d), np.eye(d, r), 0.0),
         left_ladder=EigenLadder(np.zeros(n), np.eye(n, r), 0.0),
     )
     return assemble(est, np.ones(r) if signs is None else signs)
@@ -179,7 +178,6 @@ class TestIntervals:
         return SpectralEstimate(
             U_hat=np.eye(3, r), V_hat=np.eye(3, r), lambda_hat=lam,
             p_hat=1.0, tau_hat=0.0, rank=r,
-            right_ladder=EigenLadder(np.zeros(3), np.eye(3, r), 0.0),
             left_ladder=EigenLadder(np.zeros(3), np.eye(3, r), 0.0),
         )
 

@@ -1,5 +1,6 @@
 """Eigendecomposition contract and the singular triplet estimator."""
 
+import dataclasses
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,8 +10,8 @@ import pytest
 from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
                     estimate_singular_triplets, generate_instance, gram_left,
                     gram_right, observed_fraction, resolve_signs_heuristic,
-                    sin_theta_sq, singular_values_from_eigs, sym_eig_desc,
-                    top_gram_eigenpairs, trailing_eig_mean)
+                    right_ladder, sin_theta_sq, singular_values_from_eigs,
+                    sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
 from specmc.spectral import EigenLadder
 
 
@@ -270,6 +271,18 @@ class TestTopGramEigenpairs:
         for k in range(1, min(n, d)):
             self._assert_matches(top_gram_eigenpairs(obs.to_csr().T, k), dense)
 
+    @pytest.mark.parametrize("seed,n,d,p,empty_col",
+                             [(*case, None) for case in _PIN_CASES] + [(23, 30, 8, 0.5, 3)])
+    def test_right_debiased_matches_dense(self, seed, n, d, p, empty_col):
+        obs = _sparse_case(seed, n, d, p)
+        if empty_col is not None:
+            keep = obs.cols != empty_col
+            obs = ObservedMatrix(n, d, obs.rows[keep], obs.cols[keep], obs.vals[keep])
+        p_hat = observed_fraction(obs)
+        dense = sym_eig_desc(bias_adjust(gram_right(obs), p_hat))
+        for k in range(1, min(n, d)):
+            self._assert_matches(top_gram_eigenpairs(obs.to_csr().T, k, p_hat), dense)
+
     def test_rank_one_four_by_two(self):
         # the ones vector is orthogonal to u, so it lies in the gram's null
         # space: as a start vector it hits ARPACK's "starting vector is zero"
@@ -306,7 +319,8 @@ class TestTopGramEigenpairs:
             est = estimate_singular_triplets(obs, 3)
             signs = resolve_signs_heuristic(est, obs)
             return (est.U_hat.tobytes(), est.left_ladder.values.tobytes(),
-                    est.lambda_hat.tobytes(), signs.tobytes())
+                    est.V_hat.tobytes(), est.lambda_hat.tobytes(), est.tau_hat,
+                    signs.tobytes())
 
         first = run(None)
         assert all(run(None) == first for _ in range(3))
@@ -332,3 +346,67 @@ class TestTopGramEigenpairs:
         GU = M @ (M.T @ U) - (1 - est.p_hat) * rowsq[:, None] * U
         assert np.abs(GU - U * mu).max() <= 1e-10 * mu[0]
         assert np.abs(U.T @ U - np.eye(3)).max() <= 1e-12
+
+
+# (seed, n, d, p, rank): tall, wide and square rank-r signal plus noise
+_RIGHT_CASES = [(31, 400, 60, 0.3, 3), (32, 80, 500, 0.2, 2), (33, 200, 200, 0.1, 4)]
+
+
+def _signal_case(seed, n, d, p, rank):
+    config = SimConfig(n=n, d=d, p=p, sigma=1.0, true_rank=rank, replicates=1,
+                       seed=seed)
+    return generate_instance(config, 0)[1]
+
+
+class TestMatrixFreeRight:
+    """The Lanczos right side pinned to the dense debiased right gram."""
+
+    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES)
+    def test_matches_dense_reference(self, seed, n, d, p, rank):
+        obs = _signal_case(seed, n, d, p, rank)
+        est = estimate_singular_triplets(obs, rank)
+        dense = sym_eig_desc(bias_adjust(gram_right(obs), est.p_hat))
+        tau = trailing_eig_mean(dense, rank)
+        lam, _ = singular_values_from_eigs(dense.values[:rank], tau, est.p_hat)
+        assert abs(est.tau_hat - tau) <= 1e-12 * abs(tau)
+        assert np.all(np.abs(est.lambda_hat - lam) <= 1e-12 * lam)
+        assert np.abs(est.V_hat - dense.vectors[:, :rank]).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES)
+    def test_right_ladder_is_full_and_kept(self, seed, n, d, p, rank):
+        obs = _signal_case(seed, n, d, p, rank)
+        est = estimate_singular_triplets(obs, rank)
+        ladder = est.right_ladder
+        assert ladder.is_full and ladder.dim == d
+        assert ladder.values.tobytes() == right_ladder(obs).values.tobytes()
+        assert est.right_ladder is ladder
+        assert ladder.vectors is est.V_hat
+        auto = estimate_singular_triplets(obs, "auto")
+        assert auto.rank == rank
+        assert auto.right_ladder.values.tobytes() == ladder.values.tobytes()
+        assert auto.right_ladder.vectors.tobytes() == est.V_hat.tobytes()
+
+    def test_right_ladder_needs_observations(self):
+        est = estimate_singular_triplets(_signal_case(*_RIGHT_CASES[0]), 3)
+        detached = dataclasses.replace(est, obs=None)
+        with pytest.raises(ValueError, match="observations"):
+            detached.right_ladder
+
+    def test_wide_sparse_never_forms_right_gram(self):
+        # the dense 6000 x 6000 right gram alone would take 288 MB
+        obs = _signal_case(34, 300, 6000, 0.01, 3)
+        tracemalloc.start()
+        try:
+            est = estimate_singular_triplets(obs, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # eigenpair residuals of the debiased right gram, applied sparsely
+        M = obs.to_csr()
+        V = est.V_hat
+        mu = est.lambda_hat**2 * est.p_hat**2 + est.tau_hat
+        colsq = np.bincount(obs.cols, weights=obs.vals**2, minlength=obs.n_cols)
+        GV = M.T @ (M @ V) - (1 - est.p_hat) * colsq[:, None] * V
+        assert np.abs(GV - V * mu).max() <= 1e-10 * mu[0]
+        assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-12
