@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 _ORTHO_TOL = 1e-10
 
@@ -85,6 +84,8 @@ class ObservedMatrix:
 
     def to_csr(self):
         """Zero-imputed realization as a scipy.sparse CSR array."""
+        # imported on first call: scipy adds ~0.3 s to a cold import of specmc
+        from scipy.sparse import csr_array
         return csr_array((self.vals, self.cols, self.row_ptr()), shape=self.shape)
 
     def matvec(self, x):

@@ -9,7 +9,6 @@ The gram is a blocked dense product, O(n d^2) flops in O(d^2) memory.
 """
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 
 def observed_fraction(obs):
@@ -28,6 +27,8 @@ def crossprod(A):
     inference shapes it wakes that library's worker thread, which then
     spins on a core beside the worker ARPACK keeps busy.
     """
+    # imported on first call: scipy adds ~0.3 s to a cold import of specmc
+    from scipy.linalg.blas import dsyrk
     A = np.asarray(A, dtype=np.float64)
     c = dsyrk(1.0, A.T)  # upper triangle; a C-ordered A is passed without a copy
     return np.triu(c) + np.triu(c, 1).T

@@ -81,7 +81,7 @@ def singular_value_covariance(cm, noise_var):
         ((1-p)/p) * (sum_{k,h} Mhat_kh^2 U_ki V_hi U_kj V_hj - b_i b_j)
     with noise_var/p added on the diagonal, where b = lambda_hat/sqrt(nd).
     The double sum over all n*d cells is pair_m2_sums of the completed
-    matrix's factor form.
+    matrix's factor form (cm.pair_sums(), computed once per cm).
     """
     est = cm.estimate
     p = est.p_hat
@@ -89,8 +89,7 @@ def singular_value_covariance(cm, noise_var):
         raise ValueError("p_hat must be positive")
     n, d = est.shape
     b = est.lambda_hat / np.sqrt(n * d)
-    S = pair_m2_sums(est.U_hat, est.V_hat, cm.coef())
-    cov = (1.0 - p) / p * (S - np.outer(b, b))
+    cov = (1.0 - p) / p * (cm.pair_sums() - np.outer(b, b))
     cov[np.diag_indices_from(cov)] += noise_var / p
     return (cov + cov.T) / 2.0
 
@@ -102,12 +101,16 @@ def squared_sv_sum_variance(U, V, b, coef, p, noise_var, m):
     4(1-p)/p * { sum_{k,h} M_kh^2 (sum_{i<=m} b_i U_ki V_hi)^2 - (sum_{i<=m} b_i^2)^2 }
       + 4 noise_var / p * sum_{i<=m} b_i^2
     """
+    return _energy_variance(pair_m2_sums(U, V, coef), b, p, noise_var, m)
+
+
+def _energy_variance(S, b, p, noise_var, m):
+    # squared_sv_sum_variance given the pair sums S
     b = np.asarray(b, dtype=np.float64).ravel()
     if not (1 <= m <= b.size):
         raise ValueError(f"m must be in [1, {b.size}], got {m}")
     if p <= 0:
         raise ValueError("p must be positive")
-    S = pair_m2_sums(U, V, coef)
     bm = b[:m]
     b2 = float(bm @ bm)
     brace = float(bm @ S[:m, :m] @ bm) - b2**2
@@ -115,12 +118,11 @@ def squared_sv_sum_variance(U, V, b, coef, p, noise_var, m):
 
 
 def squared_sv_sum_variance_plugin(cm, noise_var, m):
-    """Plug-in version built from a completed matrix."""
+    """Plug-in version built from a completed matrix (reads cm.pair_sums())."""
     est = cm.estimate
     n, d = est.shape
-    b = est.lambda_hat / np.sqrt(n * d)
-    return squared_sv_sum_variance(est.U_hat, est.V_hat, b, cm.coef(),
-                                   est.p_hat, noise_var, m)
+    return _energy_variance(cm.pair_sums(), est.lambda_hat / np.sqrt(n * d),
+                            est.p_hat, noise_var, m)
 
 
 def confidence_intervals(est, covariance, alpha):

@@ -1,19 +1,27 @@
 """File ingestion and report serialization.
 
 Triplet files are delimited text with 1-based (row-id, col-id, value) fields;
-extra fields are ignored. Dense files are CSV with a configurable missing
-token. Reports are written as JSON (sorted keys) or CSV, with floats printed
-to 17 significant digits so identical inputs always produce identical bytes.
+extra fields are ignored. numpy's C reader (np.loadtxt) parses a well-formed
+file; a file it rejects, or one with an id below 1 or a non-finite value, is
+read again by a Python line loop, the reference parser, which accepts what
+Python's int() and float() accept and names the file and line of an error.
+Dense files are CSV with a configurable missing token. Reports are written
+as JSON (sorted keys) or CSV, with floats printed to 17 significant digits so
+identical inputs always produce identical bytes.
 """
 
 import csv
 import sys
+import warnings
 from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
 
 from .data import ObservedMatrix
+
+_TRIPLET = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
+_MAX_ID = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -35,31 +43,16 @@ class IoOptions:
 
 
 def load_triplets(path, options=IoOptions()):
-    """Read a delimited triplet file into an ObservedMatrix."""
-    rows, cols, vals = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split(options.delimiter) if options.delimiter else line.split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected at least 3 fields")
-            try:
-                r = int(parts[0])
-                c = int(parts[1])
-                v = float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if r < 1 or c < 1:
-                raise ValueError(f"{path}:{lineno}: ids are 1-based, got ({r}, {c})")
-            if not isfinite(v):
-                raise ValueError(f"{path}:{lineno}: non-finite value {parts[2].strip()!r}")
-            rows.append(r - 1)
-            cols.append(c - 1)
-            vals.append(v)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
+    """Read a delimited triplet file into an ObservedMatrix.
+
+    numpy's C reader parses the file. When it rejects the file, or reads an
+    id below 1 or a non-finite value, the line loop reads it again; the loop
+    raises the located message, or parses what the C reader rejects
+    (whitespace-only lines, ids written as "1_0").
+    """
+    delimiter = options.delimiter or None
+    cells = _parse_c(path, delimiter)
+    rows, cols, vals = cells if cells is not None else _parse_lines(path, delimiter)
     if options.dedup == "average" and rows.size:
         keys = rows * (cols.max() + 1 if cols.size else 1) + cols
         order = np.lexsort((cols, rows))
@@ -70,6 +63,56 @@ def load_triplets(path, options=IoOptions()):
     n_rows = options.n_rows if options.n_rows is not None else (int(rows.max()) + 1 if rows.size else 0)
     n_cols = options.n_cols if options.n_cols is not None else (int(cols.max()) + 1 if cols.size else 0)
     return ObservedMatrix(n_rows, n_cols, rows, cols, vals)
+
+
+def _parse_c(path, delimiter):
+    """0-based (rows, cols, vals) from np.loadtxt, or None to use the loop."""
+    if delimiter is not None and len(delimiter) != 1:
+        return None
+    # a binary handle parses faster than a path, which loadtxt would also
+    # decompress when it ends in .gz
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # numpy 1.x parses "1.0" as an int id with a DeprecationWarning
+        warnings.simplefilter("error")
+        try:
+            cells = np.loadtxt(fh, dtype=_TRIPLET, delimiter=delimiter,
+                               usecols=(0, 1, 2), comments=None, ndmin=1,
+                               encoding="utf-8")
+        except (ValueError, Warning):  # an empty file warns
+            return None
+    rows, cols, vals = cells["r"], cells["c"], cells["v"]
+    if rows.size and (min(rows.min(), cols.min()) < 1 or not np.isfinite(vals).all()):
+        return None
+    return rows - 1, cols - 1, vals
+
+
+def _parse_lines(path, delimiter):
+    """0-based (rows, cols, vals) read line by line; raises path:line errors."""
+    rows, cols, vals = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split(delimiter)
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{lineno}: expected at least 3 fields")
+            try:
+                r = int(parts[0])
+                c = int(parts[1])
+                v = float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if r < 1 or c < 1:
+                raise ValueError(f"{path}:{lineno}: ids are 1-based, got ({r}, {c})")
+            if r > _MAX_ID or c > _MAX_ID:
+                raise ValueError(f"{path}:{lineno}: id out of range, got ({r}, {c})")
+            if not isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite value {parts[2].strip()!r}")
+            rows.append(r - 1)
+            cols.append(c - 1)
+            vals.append(v)
+    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64))
 
 
 def load_dense(path, missing_token="NA", delimiter=","):

@@ -54,6 +54,13 @@ class TestEstimate:
                      "--rank", "1", "--output", "-"])
         assert code == 1
 
+    def test_id_beyond_int64_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "big.tsv"
+        path.write_text("99999999999999999999\t1\t1.0\n")
+        code = _run(["estimate", "--input", str(path), "--rank", "1", "--output", "-"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: id out of range")
+
     def test_auto_rank(self, tmp_path, capsys):
         out = tmp_path / "est.json"
         code = _run(["estimate", "--input", _rank1_file(tmp_path),

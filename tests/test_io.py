@@ -1,10 +1,21 @@
 """Ingestion, projection, and deterministic serialization."""
 
+import re
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import specmc.io as sio
 from specmc import (IoOptions, ObservedMatrix, dumps_json, load_dense,
                     load_triplets, project_omega, write_report, write_triplets)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _write(tmp_path, name, text):
@@ -62,6 +73,15 @@ class TestLoadTriplets:
         with pytest.raises(ValueError, match="1-based"):
             load_triplets(path)
 
+    def test_id_beyond_int64_reports_lineno(self, tmp_path):
+        path = _write(tmp_path, "big.tsv", "1\t1\t5\n2\t99999999999999999999\t1\n")
+        with pytest.raises(ValueError, match=r"big\.tsv:2: id out of range"):
+            load_triplets(path)
+
+    def test_largest_int64_id_accepted(self, tmp_path):
+        path = _write(tmp_path, "max.tsv", "9223372036854775807\t1\t5\n")
+        assert load_triplets(path).shape == (2**63 - 1, 1)
+
     def test_extra_fields_ignored(self, tmp_path):
         path = _write(tmp_path, "ml.tsv", "1\t1\t5\t874965758\n")
         obs = load_triplets(path)
@@ -71,6 +91,112 @@ class TestLoadTriplets:
         path = _write(tmp_path, "r.tsv", "3\t1\t5\n")
         with pytest.raises(ValueError, match="out of range"):
             load_triplets(path, IoOptions(n_rows=2, n_cols=2))
+
+
+def _line_loop_only():
+    # load_triplets with the C reader off: the line loop parses every file
+    return mock.patch.object(sio, "_parse_c", return_value=None)
+
+
+def _outcome(path, options):
+    """load_triplets' ObservedMatrix or ValueError message, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load_triplets(path, options)
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+def _same_as_line_loop(path, options):
+    got = _outcome(path, options)
+    with _line_loop_only():
+        assert got == _outcome(path, options)
+    return got
+
+
+class TestCReader:
+    """The C-parsed path gives what the line loop gives, on any input."""
+
+    # (file text, delimiter, the result's shape or its error pattern); the C
+    # reader rejects each of these, and the line loop reads it again
+    FALLBACKS = [
+        ("", "\t", (0, 0)),
+        ("1\t1\t5\n  \t\n2\t2\t4\n", "\t", (2, 2)),
+        ("# r\tc\tv\n1\t1\t5\n", "\t", r"t\.tsv:1: invalid literal for int"),
+        ("1.0\t1\t5\n", "\t", r"t\.tsv:1: invalid literal for int"),
+        ("1_0\t1\t5\n", "\t", (10, 1)),
+        ("1\t1\t5\n2\t2\tnan\n", "\t", r"t\.tsv:2: non-finite value 'nan'"),
+        ("1\t1\t5\n2\t2\n", "\t", r"t\.tsv:2: expected at least 3 fields"),
+        ("1,1,5\n1,2\n", ",", r"t\.tsv:2: expected at least 3 fields"),
+        ("0\t1\t5\n", "\t", r"t\.tsv:1: ids are 1-based"),
+        ("99999999999999999999\t1\t5\n", "\t", r"t\.tsv:1: id out of range"),
+        ("1\t1\t5\r2\t2\t4\r", "\t", (2, 2)),
+        ("\ufeff1\t1\t5\n", "\t", r"t\.tsv:1: invalid literal for int"),
+        ("1::1::5\n", "::", (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("text, delimiter, expected", FALLBACKS)
+    def test_fallback_matches_line_loop(self, tmp_path, text, delimiter, expected):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sio._parse_c(path, delimiter) is None
+        got, caught = _same_as_line_loop(path, IoOptions(delimiter=delimiter))
+        assert caught == []
+        if isinstance(expected, tuple):
+            assert got.shape == expected
+        else:
+            assert re.search(expected, got), got
+
+    @pytest.mark.parametrize("workload", ["cli", "ml"])
+    def test_benchmark_files_parse_in_c(self, tmp_path, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import prepare
+        cfg = {"cli": prepare.CLI, "ml": prepare.ML}[workload]
+        n, d = cfg["n"], cfg["d"]
+        count = cfg.get("nnz") or round(cfg["p"] * n * d)
+        cells = prepare._low_rank_cells(np.random.default_rng(1), n, d, count,
+                                        cfg["true_rank"], cfg["factor_range"],
+                                        cfg["sigma"])
+        path = tmp_path / "in.tsv"
+        prepare.write_triplets(path, *cells)
+        assert sio._parse_c(path, "\t") is not None
+        got, caught = _same_as_line_loop(path, IoOptions(n_rows=n, n_cols=d))
+        assert got.nnz == count and caught == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_file_matches_line_loop(self, data):
+        draw = data.draw
+        delimiter = draw(st.sampled_from(["\t", ",", None]), label="delimiter")
+        n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        cells = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, d), value),
+                              max_size=10))
+        dedup = draw(st.sampled_from(["error", "average"]))
+        if cells and dedup == "average":
+            repeats = draw(st.lists(st.tuples(st.sampled_from(cells), value), max_size=4))
+            cells += [(r, c, v) for (r, c, _), v in repeats]
+        lines = []
+        for r, c, v in cells:
+            text = draw(st.sampled_from([repr(v), format(v, ".17g"), format(v, "e")]))
+            fields = [str(r), str(c), text]
+            fields += draw(st.lists(st.sampled_from(["874965758", "x", "-2.5"]), max_size=2))
+            sep = delimiter or draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+            lines.append(sep.join(fields))
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(draw(st.sampled_from(["", "   "])))
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        options = IoOptions(delimiter=delimiter, dedup=dedup,
+                            n_rows=draw(st.none() | st.integers(0, 7)),
+                            n_cols=draw(st.none() | st.integers(0, 7)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tsv"
+            path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+            _same_as_line_loop(path, options)
 
 
 class TestLoadDense:
