@@ -109,7 +109,27 @@ def _load_input(args):
         obs = load_triplets(args.input, opts)
     _log(f"loaded {obs.nnz} entries from {args.input} "
          f"({obs.n_rows} x {obs.n_cols})")
+    _check_fits(obs, args.input)
     return obs
+
+
+def _check_fits(obs, path):
+    """Refuse a shape whose row and column vectors memory cannot hold.
+
+    Every command allocates float64 arrays as long as a row or a column (the
+    row pointer, the factors, the Lanczos basis), so an id far beyond the
+    data fails here, before the first of them is allocated.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform does not say
+        return
+    need = 8 * (obs.n_rows + obs.n_cols)
+    if need > have:
+        raise ValueError(
+            f"{path}: {obs.n_rows} x {obs.n_cols} is too large: one float64 "
+            f"vector per row and column takes {need} bytes, more than the "
+            f"{have} bytes of memory; check the largest ids or --rows/--cols")
 
 
 def _estimate(args, obs):
@@ -202,6 +222,8 @@ def cmd_eval(args):
     for train_path, test_path in pairs:
         train = load_triplets(train_path, IoOptions(**opts_proto))
         test = load_triplets(test_path, IoOptions(**opts_proto))
+        _check_fits(train, train_path)
+        _check_fits(test, test_path)
         train, test = _unify_dims(train, test)
         cm = complete(train, _estimate(args, train), args.sign_method)
         value = rmse_on_omega(cm, test)

@@ -13,6 +13,12 @@ def _frozen_array(a, dtype):
     return out
 
 
+def _strictly_row_major(rows, cols):
+    """True when each (row, col) pair is greater than the one before it."""
+    r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+    return bool(np.all((r1 > r0) | ((r1 == r0) & (c1 > c0))))
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedMatrix:
     """A partially observed matrix stored as (row, col, value) triplets.
@@ -48,9 +54,12 @@ class ObservedMatrix:
                 raise ValueError(
                     f"non-finite value {vals[k]} at (row={rows[k]}, col={cols[k]})"
                 )
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
+        if _strictly_row_major(rows, cols):
+            # already canonical (from_mask gives this order): copies only
+            rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
+        else:
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
             same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
             if same.any():
                 k = int(np.flatnonzero(same)[0])

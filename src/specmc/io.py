@@ -54,15 +54,29 @@ def load_triplets(path, options=IoOptions()):
     cells = _parse_c(path, delimiter)
     rows, cols, vals = cells if cells is not None else _parse_lines(path, delimiter)
     if options.dedup == "average" and rows.size:
-        keys = rows * (cols.max() + 1 if cols.size else 1) + cols
         order = np.lexsort((cols, rows))
-        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
-        uniq, start, counts = np.unique(keys, return_index=True, return_counts=True)
-        vals = np.add.reduceat(vals, start) / counts
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # a repeated cell is a run of equal (row, col) in the sorted order
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        start = np.flatnonzero(first)
+        vals = _run_means(vals, start)
         rows, cols = rows[start], cols[start]
     n_rows = options.n_rows if options.n_rows is not None else (int(rows.max()) + 1 if rows.size else 0)
     n_cols = options.n_cols if options.n_cols is not None else (int(cols.max()) + 1 if cols.size else 0)
     return ObservedMatrix(n_rows, n_cols, rows, cols, vals)
+
+
+def _run_means(vals, start):
+    """Mean of each run vals[start[i]:start[i + 1]]; finite for finite vals."""
+    counts = np.diff(start, append=vals.size)
+    # dividing before adding keeps the sum of values near the float maximum
+    # finite; the clip undoes rounding that carries a mean out of its run's
+    # range (to inf at worst)
+    with np.errstate(over="ignore"):
+        means = np.add.reduceat(vals / np.repeat(counts, counts), start)
+    return np.clip(means, np.minimum.reduceat(vals, start),
+                   np.maximum.reduceat(vals, start))
 
 
 def _parse_c(path, delimiter):

@@ -177,8 +177,8 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
     dim = X.shape[0]
     if not (1 <= k < dim):
         raise ValueError(f"k must be in [1, {dim - 1}], got {k}")
-    Xt = X.T.tocsr()
-    rowsq = np.asarray(X.multiply(X).sum(axis=1), dtype=np.float64).ravel()
+    Xt = X.T  # a view: the product X^T x needs no transposed copy
+    rowsq = np.asarray(X.power(2).sum(axis=1), dtype=np.float64).ravel()
     shift = (1.0 - p_hat) * rowsq
 
     def matvec(x):

@@ -61,6 +61,24 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:1: id out of range")
 
+    @pytest.mark.parametrize("argv", [["rank"], ["estimate", "--rank", "1"],
+                                      ["eval", "--rank", "1", "--test", "{path}"]])
+    def test_id_beyond_memory_is_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                               argv):
+        # an id of 10^18 makes every row-long array 8 EB: refuse the shape
+        # before the row pointer, or any array like it, is built
+        path = tmp_path / "huge.tsv"
+        path.write_text("1\t1\t1.0\n2\t2\t2.0\n1000000000000000000\t1\t3.0\n")
+        monkeypatch.setattr(ObservedMatrix, "row_ptr", None)
+        flag = "--train" if argv[0] == "eval" else "--input"
+        argv = [a.format(path=path) for a in argv]
+        code = _run([*argv, flag, str(path), "--output", str(tmp_path / "out")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {path}: 1000000000000000000 x 2 is too large")
+
     def test_auto_rank(self, tmp_path, capsys):
         out = tmp_path / "est.json"
         code = _run(["estimate", "--input", _rank1_file(tmp_path),

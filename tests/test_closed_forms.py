@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from specmc import (ObservedMatrix, enumerate_sign_residuals,
                     estimate_singular_triplets, resolve_signs_exhaustive)
 from specmc.inference import pair_m2_sums
-from specmc.signs import _CELL_BLOCK, sign_candidates
+from specmc.gram import crossprod
+from specmc.signs import sign_candidates
 from specmc.spectral import EigenLadder, SpectralEstimate
 
 
@@ -38,6 +39,24 @@ def _brute_residuals(est, obs):
         diff = dense[obs.rows, obs.cols] - obs.vals
         out.append(float(diff @ diff))
     return np.array(out)
+
+
+def _block_residuals(est, obs, block=4096):
+    """The block formula the sparse products replaced: the gram of [P | y]
+    summed over blocks of cells gathered from U_hat and V_hat."""
+    r = est.rank
+    G = np.zeros((r + 1, r + 1))
+    for start in range(0, obs.nnz, block):
+        cells = slice(start, start + block)
+        rows, cols = obs.rows[cells], obs.cols[cells]
+        Q = np.empty((rows.size, r + 1))
+        np.multiply(est.U_hat[rows], est.V_hat[cols], out=Q[:, :r])
+        Q[:, :r] *= est.lambda_hat
+        Q[:, r] = obs.vals[cells]
+        G += crossprod(Q)
+    cand = sign_candidates(r)
+    quad = ((cand @ G[:r, :r]) * cand).sum(axis=1)
+    return cand, G[r, r] - 2.0 * (cand @ G[:r, r]) + quad
 
 
 def _brute_pair_sums(U, V, coef):
@@ -85,10 +104,9 @@ class TestSignResiduals:
         tol = 1e-12 * float(obs.vals @ obs.vals)
         assert np.abs(res - _brute_residuals(est, obs)).max() <= tol
 
-    @pytest.mark.parametrize("nnz", [_CELL_BLOCK - 1, _CELL_BLOCK, _CELL_BLOCK + 1,
-                                     2 * _CELL_BLOCK + 17])
+    @pytest.mark.parametrize("nnz", [4095, 4096, 4097, 8209])
     def test_cell_blocks(self, nnz):
-        # the gram of [P | y] is summed over blocks of cells: cross their edges
+        # cell counts around the 4096-cell blocks of the former kernel
         rng = np.random.default_rng(300 + nnz)
         n, d, r = 120, 80, 3
         cells = rng.permutation(n * d)[:nnz]
@@ -97,6 +115,18 @@ class TestSignResiduals:
         _, res = enumerate_sign_residuals(est, obs)
         tol = 1e-12 * float(obs.vals @ obs.vals)
         assert np.abs(res - _brute_residuals(est, obs)).max() <= tol
+
+    @pytest.mark.parametrize("shape", ["ml", "cli", "sim"])
+    @pytest.mark.parametrize("r", [2, 3, 12])
+    def test_matches_block_formula(self, workload_obs, shape, r):
+        # the sparse products against the gathered-block kernel they replaced
+        obs = workload_obs(shape)
+        est = estimate_singular_triplets(obs, r)
+        cand, res = enumerate_sign_residuals(est, obs)
+        ref_cand, ref = _block_residuals(est, obs)
+        assert np.array_equal(cand, ref_cand)
+        assert np.argmin(res) == np.argmin(ref)
+        assert np.abs(res - ref).max() <= 1e-12 * float(obs.vals @ obs.vals)
 
     def test_zero_lambda_ties_pick_plus_one(self):
         rng = np.random.default_rng(7)

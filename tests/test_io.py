@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specmc.data
 import specmc.io as sio
 from specmc import (IoOptions, ObservedMatrix, dumps_json, load_dense,
                     load_triplets, project_omega, write_report, write_triplets)
@@ -46,6 +47,32 @@ class TestLoadTriplets:
         obs = load_triplets(path, IoOptions(delimiter=" ", dedup="average"))
         assert obs.nnz == 1
         assert (obs.rows[0], obs.cols[0], obs.vals[0]) == (0, 0, 4.0)
+
+    @pytest.mark.parametrize("text, cells", [
+        (f"{2**62 + 1} 1 1\n1 1 2\n1 4 3\n",
+         [(0, 0, 2.0), (0, 3, 3.0), (2**62, 0, 1.0)]),
+        # the first two cells are adjacent in row-major order
+        (f"{2**62 + 1} 1 1\n1 1 2\n{2**62 + 2} 4 3\n",
+         [(0, 0, 2.0), (2**62, 0, 1.0), (2**62 + 1, 3, 3.0)]),
+    ])
+    def test_dedup_average_keeps_cells_of_huge_ids(self, tmp_path, text, cells):
+        # a row * (max col + 1) + col key wraps past 2^63 and merges cells
+        path = _write(tmp_path, "big.txt", text)
+        obs = load_triplets(path, IoOptions(delimiter=" ", dedup="average"))
+        assert list(zip(obs.rows.tolist(), obs.cols.tolist(), obs.vals.tolist())) == cells
+
+    @pytest.mark.parametrize("values, expected", [
+        (["0.0", "8.99e307", "8.99e307"], 2 * (8.99e307 / 3)),
+        (["1.7976931348623157e308"] * 3, np.finfo(np.float64).max),
+        (["-1.7976931348623157e308"] * 7, -np.finfo(np.float64).max),
+    ])
+    def test_dedup_average_near_float_max(self, tmp_path, values, expected):
+        path = _write(tmp_path, "max.txt", "".join(f"1 1 {v}\n" for v in values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = load_triplets(path, IoOptions(delimiter=" ", dedup="average"))
+        assert obs.nnz == 1
+        assert obs.vals[0] == pytest.approx(expected, rel=1e-15)
 
     def test_duplicates_error_by_default(self, tmp_path):
         path = _write(tmp_path, "dup.txt", "1 1 5\n1 1 3\n")
@@ -328,6 +355,35 @@ class TestObservedMatrix:
         a = ObservedMatrix(1, 1, [0], [0], [1.0])
         with pytest.raises(ValueError):
             a.vals[0] = 2.0
+
+    # (n_cols, rows, cols): row-major, unsorted, a repeated cell in order and
+    # out of order, one cell, none, and a pair that a row * n_cols + col key
+    # would call ordered because the key wraps
+    ORDERS = [(3, [0, 0, 1, 2], [0, 2, 1, 0]), (3, [2, 0, 1, 0], [0, 2, 1, 0]),
+              (3, [0, 1, 1, 2], [1, 0, 0, 2]), (3, [1, 0, 1], [0, 1, 0]),
+              (3, [1], [2]), (3, [], []), (2**62, [2, 0], [0, 5])]
+
+    @staticmethod
+    def _outcome(n_cols, rows, cols):
+        vals = np.arange(len(rows), dtype=np.float64)
+        try:
+            obs = ObservedMatrix(3, n_cols, rows, cols, vals)
+        except ValueError as exc:
+            return str(exc)
+        return obs.rows.tolist(), obs.cols.tolist(), obs.vals.tolist()
+
+    @pytest.mark.parametrize("n_cols, rows, cols", ORDERS)
+    def test_ordered_input_same_as_sort_path(self, n_cols, rows, cols):
+        got = self._outcome(n_cols, rows, cols)
+        with mock.patch.object(specmc.data, "_strictly_row_major", return_value=False):
+            assert got == self._outcome(n_cols, rows, cols)
+
+    def test_ordered_input_arrays_are_copies(self):
+        rows, cols, vals = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        obs = ObservedMatrix(2, 2, rows, cols, vals)
+        for caller, own in ((rows, obs.rows), (cols, obs.cols), (vals, obs.vals)):
+            assert caller.flags.writeable and not own.flags.writeable
+            assert not np.shares_memory(caller, own)
 
     def test_transpose_round_trip(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
                     gram_right, observed_fraction, resolve_signs_heuristic,
                     right_ladder, sin_theta_sq, singular_values_from_eigs,
                     sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
-from specmc.spectral import EigenLadder
+from specmc.spectral import EigenLadder, _canonical_signs
 
 
 def _full(dense):
@@ -309,6 +309,35 @@ class TestTopGramEigenpairs:
         for k in (0, 3):
             with pytest.raises(ValueError, match="k must be"):
                 top_gram_eigenpairs(X, k)
+
+    @staticmethod
+    def _converted_operator(X, k, p_hat):
+        """The former operator: a transposed CSR copy of X and the row sums
+        of X.multiply(X), with the same Lanczos call."""
+        from scipy.sparse.linalg import LinearOperator, eigsh
+        dim = X.shape[0]
+        Xt = X.T.tocsr()
+        rowsq = np.asarray(X.multiply(X).sum(axis=1), dtype=np.float64).ravel()
+        shift = (1.0 - p_hat) * rowsq
+        op = LinearOperator((dim, dim), dtype=np.float64,
+                            matvec=lambda x: X @ (Xt @ np.ravel(x)) - shift * np.ravel(x))
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        w, Q = eigsh(op, k=k, which="LA", v0=v0, tol=0, rng=0)
+        order = np.argsort(w, kind="stable")[::-1]
+        return w[order], _canonical_signs(Q[:, order]), p_hat * float(rowsq.sum())
+
+    @pytest.mark.parametrize("shape", ["ml", "cli", "sim"])
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_byte_identical_to_converted_operator(self, workload_obs, shape, k):
+        obs = workload_obs(shape)
+        p_hat = observed_fraction(obs)
+        X = obs.to_csr()
+        for side in (X, X.T):
+            top = top_gram_eigenpairs(side, k, p_hat)
+            values, vectors, trace = self._converted_operator(side, k, p_hat)
+            assert top.values.tobytes() == values.tobytes()
+            assert top.vectors.tobytes() == vectors.tobytes()
+            assert top.full_trace == trace
 
     def test_byte_identical_across_calls_and_threads(self):
         config = SimConfig(n=300, d=20, p=0.4, sigma=1.0, true_rank=3,
