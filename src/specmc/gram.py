@@ -39,8 +39,9 @@ def gram_right(obs):
 
     Each block Z of at most d zero-imputed rows adds Z^T Z (a BLAS syrk).
     The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
-    input is slow here; only requests that read the full right spectrum
-    (rank selection, the scree) form it.
+    input is slow here. The estimator forms it only where it is small next
+    to the data (spectral._DENSE_RIGHT); elsewhere only requests that read
+    the full right spectrum (rank selection, the scree) form it.
     """
     n, d = obs.shape
     g = np.zeros((d, d))

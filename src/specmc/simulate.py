@@ -50,6 +50,12 @@ class SimConfig:
             raise ValueError("sigma must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not (1 <= self.true_rank < min(self.n, self.d)):
+            raise ValueError(f"true_rank must be in [1, {min(self.n, self.d) - 1}] "
+                             f"for n={self.n}, d={self.d}, got {self.true_rank}")
+        if not (0 < self.factor_range < np.inf):
+            raise ValueError("factor_range must be positive and finite, "
+                             f"got {self.factor_range}")
         if not (1 <= self.metrics_m <= self.true_rank):
             raise ValueError("metrics_m must be in [1, true_rank]")
         if self.d > self.n:
@@ -100,10 +106,9 @@ def generate_instance(config, replicate_index):
     A = rng.uniform(-lim, lim, (n, r))
     B = rng.uniform(-lim, lim, (d, r))
     truth = GroundTruth.from_factors(A, B, config.sigma, config.p)
-    mask = rng.random((n, d)) < config.p
-    noisy = truth.M0.copy()
-    noisy[mask] += rng.normal(0.0, config.sigma, int(mask.sum()))
-    return truth, ObservedMatrix.from_mask(noisy, mask)
+    rows, cols = np.nonzero(rng.random((n, d)) < config.p)
+    vals = truth.M0[rows, cols] + rng.normal(0.0, config.sigma, rows.size)
+    return truth, ObservedMatrix(n, d, rows, cols, vals)
 
 
 def run_replicate(config, replicate_index):
@@ -148,6 +153,8 @@ def run_replicates(config, workers=1):
     order, so the output is identical for any worker count."""
     if config.replicates < 1:
         raise ValueError("need at least one replicate")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     def job(i):
         try:

@@ -6,13 +6,24 @@ singular values from the leading eigenvalues after subtracting the mean
 trailing eigenvalue (a noise-floor estimate) and rescaling by the observed
 fraction.
 
-Neither gram is formed by the estimator at an explicit rank: the top-r
-eigenpairs of each come from Lanczos iterations (ARPACK) on an operator that
-costs O(nnz) per product, the noise floor uses the trace shortcut, and memory
-stays O(nnz + (n + d) * r). The full d x d right gram is built and
-diagonalised for its values (`right_ladder`) only where its whole ladder is
-read: rank selection, the scree, rank="auto" and
-`SpectralEstimate.right_ladder`.
+The n x n left gram is never formed: its top-r eigenpairs come from Lanczos
+iterations (ARPACK) on an operator that costs O(nnz) per product. The right
+side takes one of two paths, chosen from the input's shape and density:
+
+- where the dense d x d right gram costs little next to the data,
+  n * d^2 <= _DENSE_RIGHT * nnz (equivalently d <= _DENSE_RIGHT * p_hat),
+  it is formed once and diagonalised by LAPACK: its whole value ladder,
+  which serves the noise floor, rank selection and
+  `SpectralEstimate.right_ladder`, and its top-r vectors;
+- elsewhere the top-r eigenpairs come from Lanczos as on the left, the noise
+  floor uses the trace shortcut, and the d x d gram is formed (by
+  `right_ladder`) only where its whole ladder is read: rank selection, the
+  scree, rank="auto" and `SpectralEstimate.right_ladder`.
+
+ARPACK's restarted Lanczos keeps a basis of about 20 vectors and runs many
+small products, so on a small right gram one dense eigensystem is faster.
+Memory stays O(nnz + (n + d) * r) on both paths: the dense one holds d^2
+<= _DENSE_RIGHT * nnz / n floats, which is O(nnz) for n >= _DENSE_RIGHT.
 """
 
 import warnings
@@ -25,6 +36,10 @@ from .gram import bias_adjust, gram_right, observed_fraction
 from .rank import estimate_rank
 
 _SYM_TOL = 1e-10
+# The right side is diagonalised densely where n * d^2 <= _DENSE_RIGHT * nnz:
+# the measured crossover between the dense eigensystem (gram, eigvalsh and
+# the top-r vectors) and a Lanczos solve on a 2-core host.
+_DENSE_RIGHT = 200
 
 
 class ClampWarning(UserWarning):
@@ -66,9 +81,9 @@ class SpectralEstimate:
 
     `left_ladder` holds the top `rank` eigenpairs of the debiased left gram.
     `right_ladder` is the full descending spectrum of the debiased right gram
-    with V_hat as its vectors; it is computed from `obs` the first time it is
-    read and then kept, so an estimate that is never asked for it never forms
-    the d x d gram.
+    with V_hat as its vectors. The estimator keeps it when it formed the
+    d x d gram anyway (the dense right path, rank="auto"); otherwise it is
+    computed from `obs` the first time it is read and then kept.
     """
 
     U_hat: np.ndarray
@@ -199,6 +214,9 @@ def right_ladder(obs):
 
     The gram is bias_adjust(gram_right(obs), p_hat); it is formed densely and
     diagonalised by `eigvalsh`, at O(n*d^2 + d^3) time and O(d^2) memory.
+    `estimate_singular_triplets` takes the same bytes from the gram it forms
+    where n*d^2 <= _DENSE_RIGHT*nnz; elsewhere this is called only where
+    the whole ladder is read.
     """
     return sym_eig_desc(bias_adjust(gram_right(obs), observed_fraction(obs)), 0)
 
@@ -231,20 +249,39 @@ def singular_values_from_eigs(top_values, tau_hat, p_hat):
     return np.sqrt(np.clip(radicand, 0.0, None)) / p_hat, n_clamped
 
 
+def _top_dense_eigvecs(gram, k):
+    """Top-k eigenvectors of a dense symmetric matrix, descending, by LAPACK.
+
+    scipy's dsyevr on the requested index range: numpy's `eigh` would wake
+    numpy's own OpenBLAS worker (see gram.crossprod).
+    """
+    # imported on first call: scipy adds ~0.3 s to a cold import of specmc
+    from scipy.linalg import eigh
+    dim = gram.shape[0]
+    _, Q = eigh(gram, subset_by_index=[dim - k, dim - 1], driver="evr",
+                check_finite=False)
+    return _canonical_signs(Q[:, ::-1].copy())
+
+
 def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
                                c_const: float = 1.0) -> SpectralEstimate:
     """Estimate the top-`rank` singular triplets from observed entries.
 
     Steps: observed fraction -> top-`rank` eigenpairs of the debiased right
-    and left grams by Lanczos, without forming either -> noise floor from
-    the trace shortcut -> singular values. Both ladders the estimator reads
-    are top-`rank`, so memory is O(nnz + (n + d) * rank); the full right
-    ladder (`SpectralEstimate.right_ladder`) is computed only when read.
+    and left grams -> noise floor -> singular values. The left gram is never
+    formed: its eigenpairs come from Lanczos. Where n * d^2 <=
+    _DENSE_RIGHT * nnz the debiased right gram is formed once, its whole
+    ladder (`sym_eig_desc(., 0)`, the same bytes as `right_ladder(obs)`)
+    gives the noise floor and the singular values and is kept as
+    `SpectralEstimate.right_ladder`, and LAPACK gives its top-`rank`
+    vectors. Elsewhere the right side is a Lanczos solve too, the noise
+    floor uses the trace shortcut, and the full right ladder is computed
+    only when read. Memory is O(nnz + (n + d) * rank) either way.
 
     rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
-    on the values-only `right_ladder(obs)`, which the estimate then keeps as
-    its right ladder; the result equals that of rank=r_hat. An r_hat outside
-    [1, min(n, d)) raises.
+    on the values-only right ladder, which the estimate then keeps; the
+    result equals that of rank=r_hat. An r_hat outside [1, min(n, d))
+    raises.
     """
     n, d = obs.shape
     if rank != "auto" and not (1 <= rank < min(n, d)):
@@ -252,18 +289,28 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     if obs.nnz == 0:
         raise ValueError("cannot estimate from an empty mask")
     p_hat = observed_fraction(obs)
+    dense_right = n * d * d <= _DENSE_RIGHT * obs.nnz
     spectrum = None
-    if rank == "auto":
+    if dense_right:
+        gram = bias_adjust(gram_right(obs), p_hat)
+        spectrum = sym_eig_desc(gram, 0)
+    elif rank == "auto":
         spectrum = right_ladder(obs)
+    if rank == "auto":
         rank = estimate_rank(spectrum, p_hat, n, d, c_const).r_hat
         if not (1 <= rank < min(n, d)):
             raise ValueError(f"automatic rank selection gave r_hat={rank}; "
                              "pass an explicit rank")
     X = obs.to_csr()
-    right = top_gram_eigenpairs(X.T, rank, p_hat)
+    if dense_right:
+        right = EigenLadder(spectrum.values, _top_dense_eigvecs(gram, rank),
+                            spectrum.full_trace)
+    else:
+        right = top_gram_eigenpairs(X.T, rank, p_hat)
     left = top_gram_eigenpairs(X, rank, p_hat)
     tau_hat = trailing_eig_mean(right, rank)
-    lambda_hat, n_clamped = singular_values_from_eigs(right.values, tau_hat, p_hat)
+    lambda_hat, n_clamped = singular_values_from_eigs(right.values[:rank],
+                                                      tau_hat, p_hat)
     est = SpectralEstimate(
         U_hat=left.vectors,
         V_hat=right.vectors,

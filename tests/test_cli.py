@@ -269,6 +269,20 @@ class TestSimulate:
         assert (out / "sim_n40_p1.aggregates.csv").exists()
         assert (out / "sim_n40_p1.json").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--true-rank", "40"], "error: true_rank must be in [1, 10]"),
+        (["--true-rank", "0"], "error: true_rank must be in [1, 10]"),
+        (["--factor-range", "0"], "error: factor_range must be positive"),
+        (["--factor-range", "inf"], "error: factor_range must be positive"),
+        (["--workers", "0"], "error: workers must be at least 1"),
+    ])
+    def test_bad_settings_are_one_error_line(self, tmp_path, capsys, flags, message):
+        code = _run(["simulate", "--n-list", "30", "--p-list", "0.5", "--reps", "2",
+                     "--output", str(tmp_path / "sims"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+
     def test_grid_files(self, tmp_path):
         out = tmp_path / "sims"
         code = _run(["simulate", "--n-list", "30,40", "--p-list", "0.5,1.0",

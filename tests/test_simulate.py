@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from specmc import (GroundTruth, SimConfig, default_dim, generate_instance,
-                    run_replicates)
+from specmc import (GroundTruth, ObservedMatrix, SimConfig, default_dim,
+                    generate_instance, gram_right, run_replicate, run_replicates)
+from specmc import spectral
 from specmc.io import dumps_csv
+from specmc.simulate import _stream
 
 
 class TestConfig:
@@ -32,6 +34,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(n=10, p=0.0, sigma=1.0, replicates=1, seed=0)
 
+    @pytest.mark.parametrize("n,d,rank", [(30, None, 0), (30, None, 11), (30, None, 40),
+                                          (10, 4, 4), (5, 20, 5)])
+    def test_true_rank_out_of_range(self, n, d, rank):
+        with pytest.raises(ValueError, match="true_rank must be in"):
+            SimConfig(n=n, d=d, p=0.5, sigma=1.0, replicates=1, seed=0,
+                      true_rank=rank)
+
+    def test_true_rank_at_the_limits(self):
+        assert SimConfig(n=30, p=0.5, sigma=1.0, replicates=1, seed=0,
+                         true_rank=10).d == 11
+        assert SimConfig(n=30, p=0.5, sigma=1.0, replicates=1, seed=0,
+                         true_rank=1).metrics_m == 1
+
+    @pytest.mark.parametrize("factor_range", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_factor_range(self, factor_range):
+        with pytest.raises(ValueError, match="factor_range must be positive"):
+            SimConfig(n=30, p=0.5, sigma=1.0, replicates=1, seed=0,
+                      factor_range=factor_range)
+
 
 class TestGenerate:
     def test_full_mask_at_p_one(self):
@@ -50,6 +71,27 @@ class TestGenerate:
         t2, o2 = generate_instance(config, 5)
         assert t1.M0.tobytes() == t2.M0.tobytes()
         assert o1 == o2
+
+    @pytest.mark.parametrize("n,d,p,sigma", [(40, None, 0.5, 1.0), (1000, 63, 0.5, 1.0),
+                                             (30, 8, 1.0, 2.0), (25, None, 0.3, 0.0),
+                                             (20, 5, 1.0, 0.0), (50, 9, 0.02, 0.7)])
+    def test_same_bytes_as_copy_and_mask(self, n, d, p, sigma):
+        # the former draw: noise added to a dense copy under a boolean mask
+        config = SimConfig(n=n, d=d, p=p, sigma=sigma, replicates=1, seed=17)
+        rng = _stream(config.seed, 3)
+        lim, r = config.factor_range, config.true_rank
+        A = rng.uniform(-lim, lim, (n, r))
+        B = rng.uniform(-lim, lim, (config.d, r))
+        M0 = GroundTruth.from_factors(A, B, sigma, p).M0
+        mask = rng.random((n, config.d)) < p
+        noisy = M0.copy()
+        noisy[mask] += rng.normal(0.0, sigma, int(mask.sum()))
+        former = ObservedMatrix.from_mask(noisy, mask)
+        truth, obs = generate_instance(config, 3)
+        assert truth.M0.tobytes() == M0.tobytes()
+        for name in ("rows", "cols", "vals"):
+            assert getattr(obs, name).tobytes() == getattr(former, name).tobytes(), name
+        assert obs.shape == former.shape
 
     def test_replicates_differ(self):
         config = SimConfig(n=40, p=0.5, sigma=1.0, replicates=2, seed=3)
@@ -129,6 +171,31 @@ class TestRunReplicates:
             agg[n] = run_replicates(config, workers=2).aggregates["mse_lambda"][0]
         ratio = agg[900] / agg[100]
         assert 1 / 3 < ratio < 3
+
+    def test_sim_shape_forms_right_gram_once(self, monkeypatch):
+        # n * d^2 <= _DENSE_RIGHT * nnz: one dense right eigensystem serves
+        # V_hat, lambda_hat, tau_hat and r_hat, on scipy's LAPACK
+        calls = []
+
+        def counted(obs):
+            calls.append(obs.shape)
+            return gram_right(obs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        config = SimConfig(n=1000, d=63, p=0.5, sigma=1.0, replicates=1, seed=9)
+        monkeypatch.setattr(spectral, "gram_right", counted)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        row = run_replicate(config, 0)
+        assert calls == [(1000, 63)]
+        assert row.r_hat == 2 and row.sign_correct
+
+    def test_workers_below_one_rejected(self):
+        config = SimConfig(n=30, p=0.5, sigma=1.0, replicates=2, seed=11)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                run_replicates(config, workers=workers)
 
     def test_replicate_failure_is_labeled(self):
         config = SimConfig(n=30, p=0.5, sigma=1.0, replicates=2, seed=11,

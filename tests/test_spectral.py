@@ -12,7 +12,8 @@ from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
                     gram_right, observed_fraction, resolve_signs_heuristic,
                     right_ladder, sin_theta_sq, singular_values_from_eigs,
                     sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
-from specmc.spectral import EigenLadder, _canonical_signs
+from specmc import spectral
+from specmc.spectral import _DENSE_RIGHT, EigenLadder, _canonical_signs
 
 
 def _full(dense):
@@ -379,6 +380,12 @@ class TestTopGramEigenpairs:
 
 # (seed, n, d, p, rank): tall, wide and square rank-r signal plus noise
 _RIGHT_CASES = [(31, 400, 60, 0.3, 3), (32, 80, 500, 0.2, 2), (33, 200, 200, 0.1, 4)]
+# n * d^2 / nnz is about 126 (the sim shape), 67 and 1200, against
+# _DENSE_RIGHT = 200: the first two take the dense right path, the third the
+# Lanczos one. _RIGHT_CASES[0] sits at 200, the other two near 2000-2500.
+_SIDE_CASES = [(35, 1000, 63, 0.5, 2), (36, 2000, 40, 0.6, 3), (37, 6000, 60, 0.05, 3)]
+_PATHS = ([(case, True) for case in _SIDE_CASES[:2]]
+          + [(case, False) for case in _SIDE_CASES[2:] + _RIGHT_CASES[1:]])
 
 
 def _signal_case(seed, n, d, p, rank):
@@ -388,9 +395,27 @@ def _signal_case(seed, n, d, p, rank):
 
 
 class TestMatrixFreeRight:
-    """The Lanczos right side pinned to the dense debiased right gram."""
+    """Both right paths pinned to the dense debiased right gram."""
 
-    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES)
+    @pytest.mark.parametrize("case,dense", _PATHS)
+    def test_path_follows_shape(self, case, dense, monkeypatch):
+        obs = _signal_case(*case)
+        ratio = obs.n_rows * obs.n_cols**2 / obs.nnz
+        assert max(ratio / _DENSE_RIGHT, _DENSE_RIGHT / ratio) > 1.5
+        calls = []
+
+        def counted(o):
+            calls.append(o.shape)
+            return gram_right(o)
+
+        monkeypatch.setattr(spectral, "gram_right", counted)
+        estimate_singular_triplets(obs, case[-1])
+        assert len(calls) == int(dense)
+        calls.clear()
+        estimate_singular_triplets(obs, "auto")
+        assert calls == [obs.shape]  # one gram serves r_hat and V_hat
+
+    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES + _SIDE_CASES)
     def test_matches_dense_reference(self, seed, n, d, p, rank):
         obs = _signal_case(seed, n, d, p, rank)
         est = estimate_singular_triplets(obs, rank)
@@ -401,7 +426,7 @@ class TestMatrixFreeRight:
         assert np.all(np.abs(est.lambda_hat - lam) <= 1e-12 * lam)
         assert np.abs(est.V_hat - dense.vectors[:, :rank]).max() <= 1e-12
 
-    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES)
+    @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES + _SIDE_CASES)
     def test_right_ladder_is_full_and_kept(self, seed, n, d, p, rank):
         obs = _signal_case(seed, n, d, p, rank)
         est = estimate_singular_triplets(obs, rank)
