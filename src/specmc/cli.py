@@ -18,7 +18,7 @@ from .io import IoOptions, load_dense, load_triplets, write_report
 from .metrics import rmse_on_omega
 from .rank import estimate_rank, scree
 from .signs import complete, predict_entry
-from .simulate import SimConfig, run_replicates
+from .simulate import SimConfig, check_workers, run_replicates
 from .spectral import estimate_singular_triplets, right_ladder
 
 
@@ -60,18 +60,17 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _delimiter(text):
+def _delimiter(text, dense=False):
+    """--delimiter as the loaders take it; None splits on any whitespace."""
+    if text is None:
+        return "," if dense else "\t"
     if text == "\\t":
         return "\t"
-    if text == "ws":
-        return ""  # empty marks any-whitespace splitting
-    return text
-
-
-def _triplet_delim(value):
-    if value is None:
-        return "\t"
-    return value or None  # "" -> None (whitespace)
+    if dense and len(text) != 1:
+        # csv.reader, which reads dense input, splits on one character only
+        raise ValueError(f"--delimiter {text!r}: dense input takes one character; "
+                         "'ws' is for triplet input only")
+    return None if text == "ws" else text
 
 
 def _add_input_flags(sp):
@@ -82,9 +81,10 @@ def _add_input_flags(sp):
                     help="override row count (triplets only)")
     sp.add_argument("--cols", type=int, default=None,
                     help="override column count (triplets only)")
-    sp.add_argument("--delimiter", type=_delimiter, default=None,
+    sp.add_argument("--delimiter", default=None,
                     help=r"field delimiter (default: tab for triplets, comma "
-                         r"for dense); '\t' for tab, 'ws' for whitespace")
+                         r"for dense); '\t' for tab, 'ws' for whitespace "
+                         r"(triplets only)")
     sp.add_argument("--missing-token", default="NA",
                     help="missing-cell token (dense only)")
     sp.add_argument("--dedup", choices=("error", "average"), default="error",
@@ -102,9 +102,10 @@ def _add_estimate_flags(sp, sign_method=True):
 
 def _load_input(args):
     if args.input_format == "dense":
-        obs = load_dense(args.input, args.missing_token, args.delimiter or ",")
+        obs = load_dense(args.input, args.missing_token,
+                         _delimiter(args.delimiter, dense=True))
     else:
-        opts = IoOptions(delimiter=_triplet_delim(args.delimiter),
+        opts = IoOptions(delimiter=_delimiter(args.delimiter),
                          dedup=args.dedup, n_rows=args.rows, n_cols=args.cols)
         obs = load_triplets(args.input, opts)
     _log(f"loaded {obs.nnz} entries from {args.input} "
@@ -217,7 +218,7 @@ def cmd_eval(args):
     else:
         raise ValueError("eval needs --train and --test, or --folds")
 
-    opts_proto = dict(delimiter=_triplet_delim(args.delimiter), dedup=args.dedup)
+    opts_proto = dict(delimiter=_delimiter(args.delimiter), dedup=args.dedup)
     folds = []
     for train_path, test_path in pairs:
         train = load_triplets(train_path, IoOptions(**opts_proto))
@@ -242,21 +243,21 @@ def cmd_eval(args):
 
 
 def cmd_simulate(args):
+    # every grid cell's settings are checked before the directory is made
+    grid = [(n, p) for n in args.n_list for p in args.p_list]
+    configs = [SimConfig(n=n, p=p, sigma=args.sigma, replicates=args.reps,
+                         seed=args.seed + cell, true_rank=args.true_rank,
+                         factor_range=args.factor_range)
+               for cell, (n, p) in enumerate(grid)]
+    check_workers(args.workers)
     os.makedirs(args.output, exist_ok=True)
-    cell = 0
-    for n in args.n_list:
-        for p in args.p_list:
-            config = SimConfig(n=n, p=p, sigma=args.sigma,
-                               replicates=args.reps, seed=args.seed + cell,
-                               true_rank=args.true_rank,
-                               factor_range=args.factor_range)
-            result = run_replicates(config, workers=args.workers)
-            base = os.path.join(args.output, f"sim_n{n}_p{p:g}")
-            write_report(result.to_rows(), base + ".csv", "csv")
-            write_report(result.aggregate_rows(), base + ".aggregates.csv", "csv")
-            write_report(result, base + ".json", "json")
-            _log(f"n={n} p={p:g}: wrote {base}.csv ({config.replicates} replicates)")
-            cell += 1
+    for config in configs:
+        result = run_replicates(config, workers=args.workers)
+        base = os.path.join(args.output, f"sim_n{config.n}_p{config.p:g}")
+        write_report(result.to_rows(), base + ".csv", "csv")
+        write_report(result.aggregate_rows(), base + ".aggregates.csv", "csv")
+        write_report(result, base + ".json", "json")
+        _log(f"n={config.n} p={config.p:g}: wrote {base}.csv ({config.replicates} replicates)")
     return 0
 
 
@@ -308,7 +309,7 @@ def build_parser():
     sp.add_argument("--test", default=None)
     sp.add_argument("--folds", default=None,
                     help="comma-separated train:test pairs")
-    sp.add_argument("--delimiter", type=_delimiter, default=None)
+    sp.add_argument("--delimiter", default=None)
     sp.add_argument("--dedup", choices=("error", "average"), default="error")
     _add_estimate_flags(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="json",

@@ -97,14 +97,6 @@ class ObservedMatrix:
         from scipy.sparse import csr_array
         return csr_array((self.vals, self.cols, self.row_ptr()), shape=self.shape)
 
-    def matvec(self, x):
-        """Product of the zero-imputed matrix with a vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise ValueError("vector length must equal n_cols")
-        return np.bincount(self.rows, weights=self.vals * x[self.cols],
-                           minlength=self.n_rows)
-
     @classmethod
     def from_mask(cls, dense, mask):
         """Build from a dense array and a boolean observation mask."""

@@ -205,6 +205,8 @@ def _jsonify(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not isfinite(obj):
+            raise ValueError(f"JSON has no token for the non-finite value {obj}")
         out.append(_fmt(obj))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
@@ -215,7 +217,8 @@ def _jsonify(obj, out):
 
 
 def dumps_json(obj):
-    """Bit-stable JSON: sorted keys, floats at 17 significant digits."""
+    """Bit-stable JSON: sorted keys, floats at 17 significant digits; a
+    non-finite float, which JSON has no token for, raises ValueError."""
     out = []
     _jsonify(obj, out)
     return "".join(out)

@@ -49,11 +49,14 @@ def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
     (the ladder is flat from k+1 on) counts as an infinite ratio, and ties
     go to the smallest k. The shift by mu_dim makes the ratio invariant to
     rescaling the data and to adding a multiple of the identity. A ladder
-    holding only the top values (`not ladder.is_full`) is rejected.
+    holding only the top values (`not ladder.is_full`) is rejected, and so
+    is a c_const that is not positive and finite.
     """
     _require_full(ladder, "estimate_rank")
     if p_hat <= 0:
         raise ValueError("p_hat must be positive")
+    if not (0 < c_const < np.inf):
+        raise ValueError(f"c_const must be positive and finite, got {c_const}")
     if d < 2:
         raise ValueError("need d >= 2")
     if ladder.dim > d:

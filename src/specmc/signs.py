@@ -11,7 +11,8 @@ per-cell factor products. Both sums come from two sparse products over the
 observed cells, with no per-cell gathers: P^T y from X V_hat and P^T P from
 Omega (V_hat_i * V_hat_j) over the factor pairs i <= j, where X is the
 zero-imputed data and Omega its unit-weight mask. That costs O(nnz r^2),
-after which all 2^r candidates cost O(2^r r^2).
+after which all 2^r candidates cost O(2^r r^2). The heuristic reads only
+P^T y, at O(nnz r), and solves no eigenproblem.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import ObservedMatrix
 from .inference import pair_m2_sums
-from .spectral import SpectralEstimate, top_gram_eigenpairs
+from .spectral import SpectralEstimate
 
 SIGN_BUDGET = 12
 
@@ -86,6 +87,11 @@ def sign_candidates(r):
     return 1.0 - 2.0 * bits
 
 
+def _linear_term(est, X):
+    """P^T y = lambda_hat * sum_k U_hat[k] * (X V_hat)[k], X the CSR data."""
+    return np.einsum("ki,ki->i", est.U_hat, X @ est.V_hat) * est.lambda_hat
+
+
 def enumerate_sign_residuals(est, obs):
     """(candidates, observed-cell squared residuals) for every sign vector.
 
@@ -103,7 +109,7 @@ def enumerate_sign_residuals(est, obs):
     X = obs.to_csr()
     omega = csr_array((np.ones(obs.nnz), X.indices, X.indptr), shape=X.shape)
     i, j = np.triu_indices(r)
-    h = np.einsum("ki,ki->i", U, X @ V) * lam
+    h = _linear_term(est, X)
     upper = np.einsum("kp,kp->p", U[:, i] * U[:, j], omega @ (V[:, i] * V[:, j]))
     H = np.empty((r, r))
     H[i, j] = H[j, i] = upper * lam[i] * lam[j]
@@ -128,25 +134,14 @@ def resolve_signs_exhaustive(est, obs, budget=SIGN_BUDGET):
 
 
 def resolve_signs_heuristic(est, obs):
-    """Sign from inner products with the zero-imputed data's singular vectors.
+    """Sign of each factor taken alone: s_i = sign((P^T y)_i), zero -> +1.
 
-    The right singular vectors are the top eigenvectors of the unadjusted
-    gram M^T M, taken by Lanczos without forming it; each left one is
-    paired through normalized multiplication by the data matrix, which
-    keeps the per-factor sign product independent of the SVD's own sign
-    convention.
+    The residual depends on s_i through -2 s_i ((P^T y)_i - sum_{j != i}
+    (P^T P)_ij s_j); without the cross terms its best value is the sign of
+    the linear term. O(nnz r), no eigensolve. A clamped factor (lambda_hat_i
+    = 0) gets +1; its sign cannot change the completion.
     """
-    r = est.rank
-    ladder = top_gram_eigenpairs(obs.to_csr().T, r)
-    v = ladder.vectors
-    s = np.empty(r)
-    for i in range(r):
-        u_i = obs.matvec(v[:, i])
-        norm = np.linalg.norm(u_i)
-        if norm > 0:
-            u_i = u_i / norm
-        s[i] = _sign_of(est.V_hat[:, i] @ v[:, i]) * _sign_of(est.U_hat[:, i] @ u_i)
-    return s
+    return _sign_of(_linear_term(est, obs.to_csr()))
 
 
 def resolve_signs(est, obs, method="auto", budget=SIGN_BUDGET):

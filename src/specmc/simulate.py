@@ -46,8 +46,10 @@ class SimConfig:
             self.metrics_m = self.true_rank
         if not (0 < self.p <= 1):
             raise ValueError("p must be in (0, 1]")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (0 <= self.sigma < np.inf):
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        if self.replicates < 1:
+            raise ValueError("need at least one replicate")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (1 <= self.true_rank < min(self.n, self.d)):
@@ -148,13 +150,15 @@ def _aggregate(rows):
     return out
 
 
+def check_workers(workers):
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def run_replicates(config, workers=1):
     """Run all replicates and aggregate. Results are gathered in replicate
     order, so the output is identical for any worker count."""
-    if config.replicates < 1:
-        raise ValueError("need at least one replicate")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
 
     def job(i):
         try:

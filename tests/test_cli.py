@@ -97,6 +97,34 @@ class TestEstimate:
         assert json.loads(out.read_text())["n_cols"] == 2
 
 
+    def test_whitespace_delimiter_dense_is_one_error_line(self, tmp_path, capsys):
+        dense = tmp_path / "m.txt"
+        dense.write_text("0 3.6\nNA 4.8\n")
+        code = _run(["estimate", "--input", str(dense), "--input-format", "dense",
+                     "--delimiter", "ws", "--rank", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --delimiter 'ws'")
+
+    @pytest.mark.parametrize("flag,dense", [(None, False), ("ws", False), (",", True),
+                                            ("\\t", False), ("\\t", True)])
+    def test_delimiter_spellings(self, tmp_path, flag, dense):
+        sep = {None: "\t", "ws": "  ", ",": ",", "\\t": "\t"}[flag]
+        path = tmp_path / "m.txt"
+        if dense:
+            path.write_text(f"0{sep}3.6\n0{sep}4.8\n")
+        else:
+            path.write_text("".join(f"{r}{sep}{c}{sep}{v}\n" for r, c, v in
+                                    [(1, 1, 0), (1, 2, 3.6), (2, 1, 0), (2, 2, 4.8)]))
+        argv = ["estimate", "--input", str(path), "--rank", "1",
+                "--output", str(tmp_path / "est.json")]
+        argv += ["--input-format", "dense"] if dense else []
+        argv += ["--delimiter", flag] if flag is not None else []
+        assert _run(argv) == 0
+        report = json.loads((tmp_path / "est.json").read_text())
+        assert (report["n_rows"], report["n_cols"]) == (2, 2)
+
+
 class TestComplete:
     def test_predict_and_dense_out(self, tmp_path, capsys):
         out = tmp_path / "cm.json"
@@ -151,6 +179,17 @@ class TestRankAndScree:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("command", [["rank"], ["estimate", "--rank", "auto"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_cd_const_is_one_error_line(self, tmp_path, capsys, command, value):
+        code = _run([*command, "--input", _rank3_file(tmp_path),
+                     "--cd-const", value, "--output", str(tmp_path / "out.json")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: c_const must be positive and finite, got {float(value)}"]
+        assert not (tmp_path / "out.json").exists()
 
     def test_scree_json_format(self, tmp_path, capsys):
         code = _run(["scree", "--input", _rank1_file(tmp_path), "--k", "1",
@@ -282,6 +321,23 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n-list", "30", "--true-rank", "40"], "error: true_rank must be in [1, 10]"),
+        (["--n-list", "100,2"], "error: true_rank must be in [1, 1]"),
+        (["--n-list", "30", "--sigma", "nan"], "error: sigma must be non-negative and finite"),
+        (["--n-list", "30", "--sigma", "inf"], "error: sigma must be non-negative and finite"),
+        (["--n-list", "30", "--reps", "0"], "error: need at least one replicate"),
+        (["--n-list", "30", "--workers", "0"], "error: workers must be at least 1"),
+    ])
+    def test_bad_settings_write_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sims"
+        code = _run(["simulate", "--p-list", "0.5", "--reps", "2",
+                     "--output", str(out), *flags])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
 
     def test_grid_files(self, tmp_path):
         out = tmp_path / "sims"

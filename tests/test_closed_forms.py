@@ -1,9 +1,10 @@
 """Closed-form kernels pinned to dense brute-force references.
 
 The sign scan evaluates every candidate's observed-cell residual from
-P^T y and P^T P; the inference sums S come from the gram matrices of the
-row-wise Kronecker squares of the factors. Both are checked here against
-direct evaluation over the cells.
+P^T y and P^T P, and the heuristic takes the sign of P^T y alone; the
+inference sums S come from the gram matrices of the row-wise Kronecker
+squares of the factors. All are checked here against direct evaluation
+over the cells.
 """
 
 import dataclasses
@@ -11,11 +12,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specmc import (ObservedMatrix, enumerate_sign_residuals,
-                    estimate_singular_triplets, resolve_signs_exhaustive)
+from specmc import (ObservedMatrix, assemble, enumerate_sign_residuals,
+                    estimate_singular_triplets, resolve_signs_exhaustive,
+                    resolve_signs_heuristic)
 from specmc.inference import pair_m2_sums
 from specmc.gram import crossprod
 from specmc.signs import sign_candidates
@@ -57,6 +59,12 @@ def _block_residuals(est, obs, block=4096):
     cand = sign_candidates(r)
     quad = ((cand @ G[:r, :r]) * cand).sum(axis=1)
     return cand, G[r, r] - 2.0 * (cand @ G[:r, r]) + quad
+
+
+def _gathered_linear_term(est, obs):
+    """P^T y cell by cell: sum_t y_t lambda_i U_hat[row_t, i] V_hat[col_t, i]."""
+    P = est.lambda_hat * est.U_hat[obs.rows] * est.V_hat[obs.cols]
+    return obs.vals @ P
 
 
 def _brute_pair_sums(U, V, coef):
@@ -141,6 +149,56 @@ class TestSignResiduals:
         assert chosen[[1, 3]].tolist() == [1.0, 1.0]
         all_zero = dataclasses.replace(est, lambda_hat=np.zeros(4))
         assert resolve_signs_exhaustive(all_zero, obs).tolist() == [1.0] * 4
+
+
+class TestHeuristicSigns:
+    @pytest.mark.parametrize("shape", ["ml", "cli", "sim"])
+    @pytest.mark.parametrize("r", [2, 3, 12])
+    def test_sign_of_gathered_linear_term(self, workload_obs, shape, r):
+        obs = workload_obs(shape)
+        est = estimate_singular_triplets(obs, r)
+        h = _gathered_linear_term(est, obs)
+        # every |h_i| is far above rounding, so its sign is determined
+        scale = est.lambda_hat * np.sqrt(obs.vals @ obs.vals)
+        assert np.all(np.abs(h) > 1e-6 * scale)
+        assert resolve_signs_heuristic(est, obs).tolist() == \
+            np.where(h < 0, -1.0, 1.0).tolist()
+
+    def test_clamped_factor_gets_plus_one(self):
+        rng = np.random.default_rng(8)
+        obs, est = _random_problem(rng, 30, 20, 4, 0.5)
+        for i in range(4):
+            lam = est.lambda_hat.copy()
+            lam[i] = 0.0
+            for attr in ("U_hat", "V_hat"):
+                Z = getattr(est, attr).copy()
+                Z[:, i] = -Z[:, i]
+                clamped = dataclasses.replace(est, lambda_hat=lam, **{attr: Z})
+                assert resolve_signs_heuristic(clamped, obs)[i] == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 20), d=st.integers(2, 20), r=st.integers(1, 6),
+       frac=st.floats(0.1, 1.0), which=st.integers(0, 5),
+       attr=st.sampled_from(["U_hat", "V_hat"]), seed=st.integers(0, 2**32 - 1))
+def test_negated_factor_flips_only_its_sign(n, d, r, frac, which, attr, seed):
+    r = min(r, n, d)
+    i = which % r
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, d)) < frac)
+    assume(rows.size > 0)
+    obs = ObservedMatrix(n, d, rows, cols, rng.normal(size=rows.size))
+    est = _estimate(rng.normal(size=(n, r)), rng.normal(size=(d, r)),
+                    rng.uniform(0.1, 2.0, r))
+    assume(_gathered_linear_term(est, obs)[i] != 0.0)
+    Z = getattr(est, attr).copy()
+    Z[:, i] = -Z[:, i]
+    flipped = dataclasses.replace(est, **{attr: Z})
+    for resolve in (resolve_signs_heuristic, resolve_signs_exhaustive):
+        s, s_flipped = resolve(est, obs), resolve(flipped, obs)
+        assert s_flipped.tolist() == [-x if j == i else x for j, x in enumerate(s)]
+        assert np.array_equal(assemble(flipped, s_flipped).dense(),
+                              assemble(est, s).dense())
 
 
 class TestPairSums:

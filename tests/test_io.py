@@ -305,6 +305,13 @@ class TestWriteReport:
         for x in rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, 50):
             assert float(dumps_json(float(x))) == x
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.float64(np.nan),
+                                   np.float32(np.inf)])
+    def test_non_finite_float_rejected(self, x):
+        for obj in (x, [1.0, x], {"a": np.array([0.5, x])}):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_json(obj)
+
     def test_estimate_schema(self, tmp_path):
         import json
 

@@ -34,6 +34,11 @@ class TestEstimateRank:
         with pytest.raises(ValueError):
             estimate_rank(_ladder([1.0]), 0.0, 10, 5, 1.0)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c_const must be positive and finite"):
+            estimate_rank(_ladder([5000.0, 40.0, 30.0]), 0.5, 100, 20, c)
+
     def test_monotone_in_c(self):
         ladder = _ladder([5000.0, 400.0, 90.0, 30.0, 1.0])
         counts = [estimate_rank(ladder, 0.5, 100, 20, c).r_hat

@@ -4,12 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import specmc.spectral
 from specmc import (ObservedMatrix, assemble, enumerate_sign_residuals,
                     estimate_singular_triplets, predict_entries, predict_entry,
                     reference_signs, resolve_signs, resolve_signs_exhaustive,
                     resolve_signs_heuristic)
 from specmc.simulate import SimConfig, generate_instance
+
+# rank of the signal in conftest's workload_obs inputs
+_TRUE_RANK = {"ml": 3, "cli": 3, "sim": 2}
 
 
 def _full(dense):
@@ -104,6 +109,29 @@ class TestHeuristic:
             est = estimate_singular_triplets(obs, 2)
             assert resolve_signs_heuristic(est, obs).tolist() == \
                 resolve_signs_exhaustive(est, obs).tolist()
+
+
+class TestHeuristicOnWorkloads:
+    @pytest.mark.parametrize("shape", ["ml", "cli", "sim"])
+    @pytest.mark.parametrize("r", [2, 3, 12])
+    def test_matches_exhaustive_on_signal_factors(self, workload_obs, shape, r):
+        obs = workload_obs(shape)
+        est = estimate_singular_triplets(obs, r)
+        k = min(r, _TRUE_RANK[shape])
+        assert resolve_signs_heuristic(est, obs)[:k].tolist() == \
+            resolve_signs_exhaustive(est, obs)[:k].tolist()
+
+    def test_no_eigensolve(self, workload_obs, monkeypatch):
+        obs = workload_obs("ml")
+        est = estimate_singular_triplets(obs, 12)
+        expected = resolve_signs_heuristic(est, obs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the heuristic solved an eigenproblem")
+
+        monkeypatch.setattr(specmc.spectral, "top_gram_eigenpairs", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        assert resolve_signs_heuristic(est, obs).tolist() == expected.tolist()
 
 
 class TestDispatchAndReference:
