@@ -13,11 +13,11 @@ import numpy as np
 
 from .data import ObservedMatrix
 from .gram import observed_fraction
-from .inference import build_report
+from .inference import build_report, check_alpha
 from .io import IoOptions, load_dense, load_triplets, write_report
 from .metrics import rmse_on_omega
-from .rank import estimate_rank, scree
-from .signs import complete, predict_entry
+from .rank import check_c_const, estimate_rank, scree
+from .signs import check_cells, complete, predict_entry
 from .simulate import SimConfig, check_workers, run_replicates
 from .spectral import estimate_singular_triplets, right_ladder
 
@@ -155,6 +155,8 @@ def _completed(args, obs):
 
 def cmd_complete(args):
     obs = _load_input(args)
+    if args.predict:
+        check_cells(obs.shape, *np.array(args.predict).T)
     cm = _completed(args, obs)
     write_report(cm, args.output, "json")
     if args.dense_out:
@@ -175,9 +177,11 @@ def cmd_rank(args):
     ladder = right_ladder(obs)
     decision = estimate_rank(ladder, observed_fraction(obs),
                              obs.n_rows, obs.n_cols, args.cd_const)
+    # a bad --k fails here, before either file is written
+    rows = _scree_rows(args, ladder) if args.scree_out else None
     write_report(decision, args.output, "json")
-    if args.scree_out:
-        write_report(_scree_rows(args, ladder), args.scree_out, "csv")
+    if rows is not None:
+        write_report(rows, args.scree_out, "csv")
     return 0
 
 
@@ -342,6 +346,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # settings are checked before any input is read
+        if "cd_const" in args:
+            check_c_const(args.cd_const)
+        if "alpha" in args:
+            check_alpha(args.alpha)
         return args.func(args)
     except (ValueError, OSError, IndexError) as exc:
         _log(f"error: {exc}")

@@ -44,10 +44,11 @@ class ObservedMatrix:
         if not (rows.size == cols.size == vals.size):
             raise ValueError("rows, cols, vals must have equal length")
         if rows.size:
-            if rows.min() < 0 or rows.max() >= self.n_rows:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
+            for what, index, bound in (("row", rows, self.n_rows),
+                                       ("column", cols, self.n_cols)):
+                if index.min() < 0 or index.max() >= bound:
+                    k = int(np.flatnonzero((index < 0) | (index >= bound))[0])
+                    raise ValueError(f"{what} index {index[k]} out of range [0, {bound})")
             bad = ~np.isfinite(vals)
             if bad.any():
                 k = int(np.flatnonzero(bad)[0])

@@ -87,8 +87,7 @@ def singular_value_covariance(cm, noise_var):
     p = est.p_hat
     if p <= 0:
         raise ValueError("p_hat must be positive")
-    n, d = est.shape
-    b = est.lambda_hat / np.sqrt(n * d)
+    b = est.signal_scales()
     cov = (1.0 - p) / p * (cm.pair_sums() - np.outer(b, b))
     cov[np.diag_indices_from(cov)] += noise_var / p
     return (cov + cov.T) / 2.0
@@ -120,15 +119,18 @@ def _energy_variance(S, b, p, noise_var, m):
 def squared_sv_sum_variance_plugin(cm, noise_var, m):
     """Plug-in version built from a completed matrix (reads cm.pair_sums())."""
     est = cm.estimate
-    n, d = est.shape
-    return _energy_variance(cm.pair_sums(), est.lambda_hat / np.sqrt(n * d),
-                            est.p_hat, noise_var, m)
+    return _energy_variance(cm.pair_sums(), est.signal_scales(), est.p_hat,
+                            noise_var, m)
+
+
+def check_alpha(alpha):
+    if not (0 < alpha < 1):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def confidence_intervals(est, covariance, alpha):
     """Normal intervals lambda_hat_i +- z_{1-alpha/2} sqrt(max(cov_ii, 0))."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     var = np.clip(np.diag(np.asarray(covariance, dtype=np.float64)), 0.0, None)
     half = z * np.sqrt(var)
@@ -153,7 +155,7 @@ def build_report(cm, alpha=0.05, m=None):
     return InferenceReport(
         lambda_hat=est.lambda_hat.copy(),
         noise_variance=float(noise_var),
-        signal_scales=est.lambda_hat / np.sqrt(n * d),
+        signal_scales=est.signal_scales(),
         covariance=cov,
         variances=np.clip(np.diag(cov), 0.0, None),
         energy_variance=float(squared_sv_sum_variance_plugin(cm, noise_var, m)),

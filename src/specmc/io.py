@@ -13,7 +13,7 @@ identical inputs always produce identical bytes.
 import csv
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from math import isfinite
 
 import numpy as np
@@ -22,6 +22,9 @@ from .data import ObservedMatrix
 
 _TRIPLET = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
 _MAX_ID = np.iinfo(np.int64).max
+# JSON string escapes: backslash, quote and the C0 controls U+0000-U+001F
+_JSON_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"',
+                               **{chr(c): f"\\u{c:04x}" for c in range(0x20)}})
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,10 @@ def load_triplets(path, options=IoOptions()):
         rows, cols = rows[start], cols[start]
     n_rows = options.n_rows if options.n_rows is not None else (int(rows.max()) + 1 if rows.size else 0)
     n_cols = options.n_cols if options.n_cols is not None else (int(cols.max()) + 1 if cols.size else 0)
-    return ObservedMatrix(n_rows, n_cols, rows, cols, vals)
+    try:
+        return ObservedMatrix(n_rows, n_cols, rows, cols, vals)
+    except ValueError as exc:  # an id past n_rows/n_cols, or a duplicate cell
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _run_means(vals, start):
@@ -188,7 +194,7 @@ def _jsonify(obj, out):
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(f'"{key}":')
+            out.append('"' + str(key).translate(_JSON_ESCAPES) + '":')
             _jsonify(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -209,7 +215,7 @@ def _jsonify(obj, out):
             raise ValueError(f"JSON has no token for the non-finite value {obj}")
         out.append(_fmt(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append('"' + obj.translate(_JSON_ESCAPES) + '"')
     elif obj is None:
         out.append("null")
     else:
@@ -247,15 +253,17 @@ def dumps_csv(rows):
 def write_report(report, path, format="json"):
     """Serialize a result to path ("-" writes to stdout).
 
-    JSON accepts nested dicts/lists/arrays or any object with to_dict();
-    CSV expects a list of flat dict rows (or an object with to_rows()).
+    JSON takes nested dicts/lists/arrays, an object with to_dict(), or a
+    dataclass without one (written from its fields); CSV takes flat dict rows.
     """
     if format == "json":
-        obj = report.to_dict() if hasattr(report, "to_dict") else report
-        text = dumps_json(obj) + "\n"
+        if hasattr(report, "to_dict"):
+            report = report.to_dict()
+        elif is_dataclass(report):
+            report = vars(report)
+        text = dumps_json(report) + "\n"
     elif format == "csv":
-        rows = report.to_rows() if hasattr(report, "to_rows") else report
-        text = dumps_csv(rows)
+        text = dumps_csv(report)
     else:
         raise ValueError(f"unknown format {format!r}")
     if path == "-":

@@ -13,7 +13,7 @@ _ORTHO_TOL = 1e-8
 
 @dataclass
 class MetricRow:
-    """Per-replicate metrics collected by the simulation harness."""
+    """Per-replicate metrics; its fields, in order, are simulate's columns."""
 
     mse_matrix: float
     mse_lambda: float
@@ -25,20 +25,6 @@ class MetricRow:
     r_hat: int
     sign_correct: bool
     n_clamped: int
-
-    def to_dict(self):
-        return {
-            "mse_matrix": self.mse_matrix,
-            "mse_lambda": self.mse_lambda,
-            "mse_v": self.mse_v,
-            "mse_u": self.mse_u,
-            "sin2_v": self.sin2_v,
-            "sin2_u": self.sin2_u,
-            "z_stat": self.z_stat,
-            "r_hat": self.r_hat,
-            "sign_correct": self.sign_correct,
-            "n_clamped": self.n_clamped,
-        }
 
 
 def _check_orthonormal(Z, name):

@@ -22,20 +22,17 @@ class RankDecision:
     eigenvalues: np.ndarray
     c_const: float
 
-    def to_dict(self):
-        return {
-            "r_hat": self.r_hat,
-            "threshold": self.threshold,
-            "c_const": self.c_const,
-            "eigenvalues": self.eigenvalues,
-        }
-
 
 def _require_full(ladder, what):
     if not ladder.is_full:
         raise ValueError(
             f"{what} needs the full eigenvalue ladder; got the top "
             f"{ladder.values.size} of {ladder.dim} values")
+
+
+def check_c_const(c_const):
+    if not (0 < c_const < np.inf):
+        raise ValueError(f"c_const must be positive and finite, got {c_const}")
 
 
 def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
@@ -55,8 +52,7 @@ def estimate_rank(ladder, p_hat, n, d, c_const=1.0):
     _require_full(ladder, "estimate_rank")
     if p_hat <= 0:
         raise ValueError("p_hat must be positive")
-    if not (0 < c_const < np.inf):
-        raise ValueError(f"c_const must be positive and finite, got {c_const}")
+    check_c_const(c_const)
     if d < 2:
         raise ValueError("need d >= 2")
     if ladder.dim > d:

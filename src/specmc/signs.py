@@ -183,14 +183,19 @@ def predict_entry(cm, k, h):
     return float(predict_entries(cm, [k], [h])[0])
 
 
-def predict_entries(cm, rows, cols):
-    """Completed-matrix values at the listed cells, without densifying."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    n, d = cm.shape
+def check_cells(shape, rows, cols):
+    """Raise IndexError naming the first (rows[t], cols[t]) outside shape."""
+    n, d = shape
     bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= d)
     if bad.any():
         t = int(np.flatnonzero(bad)[0])
         raise IndexError(f"entry ({rows[t]}, {cols[t]}) outside {n}x{d}")
+
+
+def predict_entries(cm, rows, cols):
+    """Completed-matrix values at the listed cells, without densifying."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    check_cells(cm.shape, rows, cols)
     return np.einsum("ti,ti->t", cm.estimate.U_hat[rows] * cm.coef(),
                      cm.estimate.V_hat[cols])

@@ -64,14 +64,6 @@ class SimConfig:
             warnings.warn(f"d={self.d} exceeds n={self.n}; the tall-matrix regime is "
                           "the intended one", UserWarning, stacklevel=2)
 
-    def to_dict(self):
-        return {
-            "n": self.n, "d": self.d, "p": self.p, "sigma": self.sigma,
-            "true_rank": self.true_rank, "factor_range": self.factor_range,
-            "replicates": self.replicates, "seed": self.seed,
-            "metrics_m": self.metrics_m,
-        }
-
 
 @dataclass
 class SimResult:
@@ -80,7 +72,7 @@ class SimResult:
     aggregates: dict = field(default_factory=dict)
 
     def to_rows(self):
-        return [dict(replicate=i, **row.to_dict()) for i, row in enumerate(self.rows)]
+        return [dict(replicate=i, **vars(row)) for i, row in enumerate(self.rows)]
 
     def aggregate_rows(self):
         return [dict(metric=k, mean=v[0], stderr=v[1])
@@ -88,7 +80,7 @@ class SimResult:
 
     def to_dict(self):
         return {
-            "config": self.config.to_dict(),
+            "config": vars(self.config),
             "rows": self.to_rows(),
             "aggregates": {k: {"mean": v[0], "stderr": v[1]}
                            for k, v in self.aggregates.items()},
@@ -141,9 +133,7 @@ def run_replicate(config, replicate_index):
 
 def _aggregate(rows):
     out = {}
-    names = ["mse_matrix", "mse_lambda", "mse_v", "mse_u", "sin2_v", "sin2_u",
-             "z_stat", "r_hat", "sign_correct", "n_clamped"]
-    for name in names:
+    for name in vars(rows[0]):
         x = np.array([float(getattr(row, name)) for row in rows])
         se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
         out[name] = (float(x.mean()), se)

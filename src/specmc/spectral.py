@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import ObservedMatrix
 from .gram import bias_adjust, gram_right, observed_fraction
-from .rank import estimate_rank
+from .rank import check_c_const, estimate_rank
 
 _SYM_TOL = 1e-10
 # The right side is diagonalised densely where n * d^2 <= _DENSE_RIGHT * nnz:
@@ -281,8 +281,9 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
     on the values-only right ladder, which the estimate then keeps; the
     result equals that of rank=r_hat. An r_hat outside [1, min(n, d))
-    raises.
+    raises, as does any c_const that is not positive and finite.
     """
+    check_c_const(c_const)
     n, d = obs.shape
     if rank != "auto" and not (1 <= rank < min(n, d)):
         raise ValueError(f"rank must be in [1, {min(n, d) - 1}], got {rank}")

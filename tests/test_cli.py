@@ -79,6 +79,20 @@ class TestEstimate:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {path}: 1000000000000000000 x 2 is too large")
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--rows", "row index 5 out of range [0, 5)"),
+        ("--cols", "column index 5 out of range [0, 5)"),
+    ])
+    def test_id_past_dims_names_file_id_and_limit(self, tmp_path, capsys, flag, message):
+        path = _rank3_file(tmp_path)
+        code = _run(["estimate", "--input", path, flag, "5", "--rank", "1",
+                     "--output", str(tmp_path / "est.json")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {path}: {message}"]
+        assert not (tmp_path / "est.json").exists()
+
     def test_auto_rank(self, tmp_path, capsys):
         out = tmp_path / "est.json"
         code = _run(["estimate", "--input", _rank1_file(tmp_path),
@@ -142,6 +156,19 @@ class TestComplete:
         dense = np.loadtxt(str(dense_out), delimiter=",")
         assert np.allclose(dense, [[0, 3.6], [0, 4.8]], atol=1e-8)
 
+    def test_predict_outside_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the cells are checked against the loaded shape before estimating
+        monkeypatch.setattr("specmc.cli.complete", None)
+        out, dense_out = tmp_path / "cm.json", tmp_path / "dense.csv"
+        code = _run(["complete", "--input", _rank3_file(tmp_path), "--rank", "2",
+                     "--predict", "1,1", "--predict", "500,1", "--output", str(out),
+                     "--dense-out", str(dense_out)])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: entry (500, 1) outside 300x60"]
+        assert not out.exists() and not dense_out.exists()
+
     def test_sign_method_flag(self, tmp_path):
         code = _run(["complete", "--input", _rank1_file(tmp_path),
                      "--rank", "1", "--sign-method", "heuristic",
@@ -161,6 +188,22 @@ class TestRankAndScree:
         lines = scree_out.read_text().splitlines()
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 3
+
+    def test_rank_json_keys(self, tmp_path):
+        out = tmp_path / "rank.json"
+        assert _run(["rank", "--input", _rank1_file(tmp_path), "--output", str(out)]) == 0
+        assert sorted(json.loads(out.read_text())) == ["c_const", "eigenvalues",
+                                                      "r_hat", "threshold"]
+
+    def test_bad_k_writes_nothing(self, tmp_path, capsys):
+        out, scree_out = tmp_path / "rank.json", tmp_path / "scree.csv"
+        code = _run(["rank", "--input", _rank3_file(tmp_path), "--k", "-1",
+                     "--scree-out", str(scree_out), "--output", str(out)])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: k must be in [0, 60]"]
+        assert not out.exists() and not scree_out.exists()
 
     def test_rank3_file_selects_three(self, tmp_path):
         path = _rank3_file(tmp_path)
@@ -197,6 +240,40 @@ class TestRankAndScree:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["index"] == 1
+
+
+class TestSettingsCheckedFirst:
+    """--cd-const and --alpha are checked before the input is read."""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["estimate", "--rank", "3", "--cd-const", "-1"],
+         "error: c_const must be positive and finite, got -1.0"),
+        (["complete", "--rank", "3", "--cd-const", "nan"],
+         "error: c_const must be positive and finite, got nan"),
+        (["rank", "--cd-const", "0"], "error: c_const must be positive and finite, got 0.0"),
+        (["infer", "--rank", "3", "--alpha", "1.5"], "error: alpha must be in (0, 1), got 1.5"),
+        (["infer", "--rank", "3", "--alpha", "0"], "error: alpha must be in (0, 1), got 0.0"),
+        (["infer", "--rank", "3", "--alpha", "nan"], "error: alpha must be in (0, 1), got nan"),
+    ])
+    def test_bad_setting_fails_before_input_is_read(self, tmp_path, capsys, flags, message):
+        # the input does not exist: the setting's error comes first
+        code = _run([*flags, "--input", str(tmp_path / "missing.tsv"),
+                     "--output", str(tmp_path / "out.json")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [message]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_eval_bad_cd_const_with_explicit_rank(self, tmp_path, capsys):
+        path = _rank3_file(tmp_path)
+        code = _run(["eval", "--train", path, "--test", path, "--rank", "3",
+                     "--cd-const", "inf", "--output", str(tmp_path / "out.json")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: c_const must be positive and finite, got inf"]
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestAutoRank:
@@ -346,3 +423,24 @@ class TestSimulate:
                      "--output", str(out)])
         assert code == 0
         assert len(list(out.glob("*.csv"))) == 8  # 4 cells x (rows + aggregates)
+
+    def test_output_schemas(self, tmp_path):
+        out = tmp_path / "sims"
+        assert _run(["simulate", "--n-list", "30", "--p-list", "0.5", "--reps", "2",
+                     "--output", str(out)]) == 0
+        metrics = ["mse_matrix", "mse_lambda", "mse_v", "mse_u", "sin2_v", "sin2_u",
+                   "z_stat", "r_hat", "sign_correct", "n_clamped"]
+        rows = (out / "sim_n30_p0.5.csv").read_text().splitlines()
+        assert rows[0] == ",".join(["replicate", *metrics])
+        assert [line.split(",")[0] for line in rows[1:]] == ["0", "1"]
+        aggregates = (out / "sim_n30_p0.5.aggregates.csv").read_text().splitlines()
+        assert aggregates[0] == "metric,mean,stderr"
+        assert [line.split(",")[0] for line in aggregates[1:]] == metrics
+        report = json.loads((out / "sim_n30_p0.5.json").read_text())
+        assert sorted(report) == ["aggregates", "config", "rows"]
+        assert sorted(report["config"]) == sorted([
+            "n", "d", "p", "sigma", "true_rank", "factor_range", "replicates",
+            "seed", "metrics_m"])
+        assert [sorted(row) for row in report["rows"]] == [sorted(["replicate", *metrics])] * 2
+        assert sorted(report["aggregates"]) == sorted(metrics)
+        assert all(sorted(v) == ["mean", "stderr"] for v in report["aggregates"].values())

@@ -119,6 +119,15 @@ class TestLoadTriplets:
         with pytest.raises(ValueError, match="out of range"):
             load_triplets(path, IoOptions(n_rows=2, n_cols=2))
 
+    @pytest.mark.parametrize("dims,message", [
+        ({"n_rows": 5}, r"r\.tsv: row index 6 out of range \[0, 5\)$"),
+        ({"n_cols": 2}, r"r\.tsv: column index 3 out of range \[0, 2\)$"),
+    ])
+    def test_id_past_dims_names_file_id_and_limit(self, tmp_path, dims, message):
+        path = _write(tmp_path, "r.tsv", "1\t1\t5\n7\t4\t3\n2\t2\t1\n")
+        with pytest.raises(ValueError, match=message):
+            load_triplets(path, IoOptions(**dims))
+
 
 def _line_loop_only():
     # load_triplets with the C reader off: the line loop parses every file
@@ -300,6 +309,12 @@ class TestWriteReport:
         b = dumps_json({"a": [1, 2], "b": 1.5})
         assert a == b == '{"a":[1,2],"b":1.5}'
 
+    def test_control_characters_round_trip(self):
+        import json
+        text = "".join(map(chr, range(0x20))) + '"\\'
+        obj = {text: [text, "plain"]}
+        assert json.loads(dumps_json(obj)) == obj
+
     def test_float_round_trip(self):
         rng = np.random.default_rng(5)
         for x in rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, 50):
@@ -324,6 +339,19 @@ class TestWriteReport:
         loaded = json.loads(open(path).read())
         for key in ("p_hat", "lambda_hat", "U_hat", "V_hat", "tau_hat"):
             assert key in loaded
+
+    def test_field_only_dataclass_written_from_fields(self, tmp_path):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Fields:
+            name: str
+            values: np.ndarray
+            x: float
+
+        path = tmp_path / "fields.json"
+        write_report(Fields("a", np.array([1.5, 2.0]), 0.25), str(path), "json")
+        assert path.read_text() == '{"name":"a","values":[1.5,2],"x":0.25}\n'
 
     def test_csv_rows(self, tmp_path):
         rows = [{"x": 1, "y": 0.5}, {"x": 2, "y": 1.5}]

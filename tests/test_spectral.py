@@ -219,6 +219,14 @@ class TestEstimate:
         with pytest.raises(ValueError, match="empty"):
             estimate_singular_triplets(ObservedMatrix(4, 3, [], [], []), 1)
 
+    @pytest.mark.parametrize("rank", [1, "auto"])
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_c_const_rejected_on_entry(self, monkeypatch, rank, c):
+        # checked before the observed fraction is taken, at any rank
+        monkeypatch.setattr(spectral, "observed_fraction", None)
+        with pytest.raises(ValueError, match="c_const must be positive and finite"):
+            estimate_singular_triplets(_full(np.eye(3)), rank, c)
+
     def test_ladders_carry_full_spectrum(self):
         # the right ladder is the full spectrum; the left one holds the top
         # `rank` values of the n x n gram
