@@ -158,9 +158,17 @@ def cmd_complete(args):
     if args.predict:
         check_cells(obs.shape, *np.array(args.predict).T)
     cm = _completed(args, obs)
-    write_report(cm, args.output, "json")
-    if args.dense_out:
-        np.savetxt(args.dense_out, cm.dense(), delimiter=",", fmt="%.17g")
+    if not args.dense_out:
+        write_report(cm, args.output, "json")
+    else:
+        # opened first, so a bad dense path fails before --output is written
+        with open(args.dense_out, "w", encoding="utf-8") as fh:
+            try:
+                write_report(cm, args.output, "json")
+            except BaseException:
+                os.remove(args.dense_out)
+                raise
+            np.savetxt(fh, cm.dense(), delimiter=",", fmt="%.17g")
         _log(f"dense completion written to {args.dense_out}")
     for k, h in args.predict or ():
         print(format(predict_entry(cm, k, h), ".17g"))

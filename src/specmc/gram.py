@@ -5,10 +5,15 @@ diagonal distortion proportional to (1 - p) plus a noise shift; rescaling the
 diagonal by the observed fraction removes the distortion so that the leading
 eigenvectors estimate the clean singular vectors. The expected-gram helpers
 evaluate the exact finite-sample means and exist for oracle tests.
-The gram is a blocked dense product, O(n d^2) flops in O(d^2) memory.
+The gram is a blocked dense product, O(n d^2) flops in O(d^2 + 2^16) memory.
 """
 
 import numpy as np
+
+# cells in one zero-imputed block of gram_right (d rows where d^2 is more),
+# so a matrix of at most this many cells is one BLAS call; the estimator
+# also holds such a matrix densely for its left Lanczos
+_BLOCK_CELLS = 1 << 16
 
 
 def observed_fraction(obs):
@@ -37,7 +42,9 @@ def crossprod(A):
 def gram_right(obs):
     """M^T M of the zero-imputed matrix, (d, d), exactly symmetric.
 
-    Each block Z of at most d zero-imputed rows adds Z^T Z (a BLAS syrk).
+    Each block Z of zero-imputed rows adds Z^T Z (a BLAS syrk). A block has
+    max(d, _BLOCK_CELLS // d) rows, so memory is O(d^2 + _BLOCK_CELLS) and a
+    matrix of at most _BLOCK_CELLS cells is one block.
     The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
     input is slow here. The estimator forms it only where it is small next
     to the data (spectral._DENSE_RIGHT); elsewhere only requests that read
@@ -46,7 +53,7 @@ def gram_right(obs):
     n, d = obs.shape
     g = np.zeros((d, d))
     ptr = obs.row_ptr()
-    block = max(d, 1)
+    block = max(d, _BLOCK_CELLS // max(d, 1))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         a, b = ptr[lo], ptr[hi]

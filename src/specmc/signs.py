@@ -2,8 +2,8 @@
 
 Each estimated factor pair is determined only up to a joint sign flip. The
 exhaustive resolver minimizes the squared residual on the observed cells over
-all sign vectors; above the candidate budget, a spectral heuristic compares
-the estimated factors with the singular vectors of the zero-imputed data.
+all sign vectors; above the candidate budget, each sign is the sign of the
+matching entry of the linear term P^T y defined below.
 
 The residual of a sign vector s is a quadratic form in s,
 ||P s - y||^2 = ||y||^2 - 2 s.(P^T y) + s^T (P^T P) s, where P holds the

@@ -100,8 +100,10 @@ def generate_instance(config, replicate_index):
     A = rng.uniform(-lim, lim, (n, r))
     B = rng.uniform(-lim, lim, (d, r))
     truth = GroundTruth.from_factors(A, B, config.sigma, config.p)
-    rows, cols = np.nonzero(rng.random((n, d)) < config.p)
-    vals = truth.M0[rows, cols] + rng.normal(0.0, config.sigma, rows.size)
+    # flat indices of the observed cells, in the row-major order np.nonzero gives
+    cells = np.flatnonzero(rng.random((n, d)) < config.p)
+    rows, cols = np.divmod(cells, d)
+    vals = truth.M0.ravel()[cells] + rng.normal(0.0, config.sigma, cells.size)
     return truth, ObservedMatrix(n, d, rows, cols, vals)
 
 

@@ -14,7 +14,10 @@ side takes one of two paths, chosen from the input's shape and density:
   n * d^2 <= _DENSE_RIGHT * nnz (equivalently d <= _DENSE_RIGHT * p_hat),
   it is formed once and diagonalised by LAPACK: its whole value ladder,
   which serves the noise floor, rank selection and
-  `SpectralEstimate.right_ladder`, and its top-r vectors;
+  `SpectralEstimate.right_ladder`, and its top-r vectors. Where the whole
+  matrix is also one gram block, n * d <= gram._BLOCK_CELLS, the left
+  Lanczos runs on the zero-imputed dense matrix, whose two products are
+  cheaper there than sparse ones, and no CSR copy is built;
 - elsewhere the top-r eigenpairs come from Lanczos as on the left, the noise
   floor uses the trace shortcut, and the d x d gram is formed (by
   `right_ladder`) only where its whole ladder is read: rank selection, the
@@ -23,7 +26,8 @@ side takes one of two paths, chosen from the input's shape and density:
 ARPACK's restarted Lanczos keeps a basis of about 20 vectors and runs many
 small products, so on a small right gram one dense eigensystem is faster.
 Memory stays O(nnz + (n + d) * r) on both paths: the dense one holds d^2
-<= _DENSE_RIGHT * nnz / n floats, which is O(nnz) for n >= _DENSE_RIGHT.
+<= _DENSE_RIGHT * nnz / n floats, which is O(nnz) for n >= _DENSE_RIGHT,
+and at most _BLOCK_CELLS floats of dense data.
 """
 
 import warnings
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ObservedMatrix
-from .gram import bias_adjust, gram_right, observed_fraction
+from .gram import _BLOCK_CELLS, bias_adjust, gram_right, observed_fraction
 from .rank import check_c_const, estimate_rank
 
 _SYM_TOL = 1e-10
@@ -175,7 +179,9 @@ def sym_eig_desc(S, k=None):
 
 
 def top_gram_eigenpairs(X, k, p_hat=1.0):
-    """Top-k eigenpairs of the debiased gram of a sparse X, without forming it.
+    """Top-k eigenpairs of the debiased gram of X, without forming it.
+
+    X is a dense ndarray or a scipy.sparse matrix or array.
 
     The gram is X X^T with its diagonal scaled by p_hat, i.e.
     bias_adjust(X X^T, p_hat); p_hat=1 leaves it unadjusted. It is applied
@@ -188,12 +194,16 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
     dim = X.shape[0] and the trace p_hat * sum(rowsq).
     """
     # imported on first call: scipy adds ~0.3 s to a cold import of specmc
+    from scipy.sparse import issparse
     from scipy.sparse.linalg import LinearOperator, eigsh
     dim = X.shape[0]
     if not (1 <= k < dim):
         raise ValueError(f"k must be in [1, {dim - 1}], got {k}")
     Xt = X.T  # a view: the product X^T x needs no transposed copy
-    rowsq = np.asarray(X.power(2).sum(axis=1), dtype=np.float64).ravel()
+    # row sums of squares: X * X would be a matrix product for a
+    # scipy.sparse csr_matrix, and einsum takes no n x d temporary
+    rowsq = (np.asarray(X.power(2).sum(axis=1), dtype=np.float64).ravel()
+             if issparse(X) else np.einsum("ij,ij->i", X, X))
     shift = (1.0 - p_hat) * rowsq
 
     def matvec(x):
@@ -274,9 +284,11 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     ladder (`sym_eig_desc(., 0)`, the same bytes as `right_ladder(obs)`)
     gives the noise floor and the singular values and is kept as
     `SpectralEstimate.right_ladder`, and LAPACK gives its top-`rank`
-    vectors. Elsewhere the right side is a Lanczos solve too, the noise
-    floor uses the trace shortcut, and the full right ladder is computed
-    only when read. Memory is O(nnz + (n + d) * rank) either way.
+    vectors; if n * d <= _BLOCK_CELLS too, the left Lanczos runs on
+    `obs.to_dense()` rather than a CSR copy. Elsewhere the right side is a
+    Lanczos solve too, the noise floor uses the trace shortcut, and the full
+    right ladder is computed only when read. Memory is O(nnz + (n + d) *
+    rank) either way.
 
     rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
     on the values-only right ladder, which the estimate then keeps; the
@@ -302,7 +314,10 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
         if not (1 <= rank < min(n, d)):
             raise ValueError(f"automatic rank selection gave r_hat={rank}; "
                              "pass an explicit rank")
-    X = obs.to_csr()
+    # one gram block is small enough to hold densely, and there the dense
+    # products of the left Lanczos beat sparse ones
+    X = (obs.to_dense() if dense_right and n * d <= _BLOCK_CELLS
+         else obs.to_csr())
     if dense_right:
         right = EigenLadder(spectrum.values, _top_dense_eigvecs(gram, rank),
                             spectrum.full_trace)

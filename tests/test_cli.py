@@ -169,6 +169,21 @@ class TestComplete:
         assert errors == ["error: entry (500, 1) outside 300x60"]
         assert not out.exists() and not dense_out.exists()
 
+    def test_bad_dense_out_writes_nothing(self, tmp_path, capsys):
+        out, dense_out = tmp_path / "cm.json", tmp_path / "missing" / "d.csv"
+        code = _run(["complete", "--input", _rank1_file(tmp_path), "--rank", "1",
+                     "--output", str(out), "--dense-out", str(dense_out)])
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists() and not dense_out.exists()
+
+    def test_bad_output_leaves_no_dense_file(self, tmp_path):
+        out, dense_out = tmp_path / "missing" / "cm.json", tmp_path / "d.csv"
+        code = _run(["complete", "--input", _rank1_file(tmp_path), "--rank", "1",
+                     "--output", str(out), "--dense-out", str(dense_out)])
+        assert code == 1
+        assert not out.exists() and not dense_out.exists()
+
     def test_sign_method_flag(self, tmp_path):
         code = _run(["complete", "--input", _rank1_file(tmp_path),
                      "--rank", "1", "--sign-method", "heuristic",

@@ -6,7 +6,7 @@ import pytest
 from specmc import (GroundTruth, ObservedMatrix, bias_adjust,
                     expected_gram_left, expected_gram_right, gram_left,
                     gram_right, observed_fraction)
-from specmc.gram import crossprod
+from specmc.gram import _BLOCK_CELLS, crossprod
 
 
 def _full(dense):
@@ -64,8 +64,8 @@ class TestGram:
     def test_matches_dense_products(self):
         rng = np.random.default_rng(7)
         masks = [rng.random((6, 4)) < 0.6 for _ in range(10)]
-        # the right gram takes blocks of d rows and the left one blocks of n
-        # columns: n = d-1, d, d+1, 2d+1 and the transposed shapes cross them
+        # the small masks are one gram block each: block edges are crossed
+        # by test_blocks_match_dense_product
         d = 4
         for n in (d - 1, d, d + 1, 2 * d + 1):
             masks += [rng.random((n, d)) < 0.6, rng.random((d, n)) < 0.6]
@@ -81,6 +81,22 @@ class TestGram:
             for got, ref in ((gram_right(obs), M.T @ M), (gram_left(obs), M @ M.T)):
                 assert np.array_equal(got, got.T)
                 assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("n,d,blocks", [(1000, 63, 1), (1040, 63, 1), (1041, 63, 2),
+                                            (1500, 64, 2), (1000, 256, 4), (2000, 300, 7),
+                                            (20000, 10, 4)])
+    def test_blocks_match_dense_product(self, n, d, blocks):
+        # blocks of max(d, _BLOCK_CELLS // d) rows; the last one may be short
+        rows_per_block = max(d, _BLOCK_CELLS // d)
+        assert -(-n // rows_per_block) == blocks
+        rng = np.random.default_rng(n + d)
+        mask = rng.random((n, d)) < 0.5
+        mask[min(rows_per_block, n) - 1] = False  # an empty row at a block edge
+        obs = ObservedMatrix.from_mask(rng.normal(size=(n, d)), mask)
+        M = obs.to_dense()
+        got, ref = gram_right(obs), M.T @ M
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)

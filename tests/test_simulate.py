@@ -93,6 +93,23 @@ class TestGenerate:
             assert getattr(obs, name).tobytes() == getattr(former, name).tobytes(), name
         assert obs.shape == former.shape
 
+    @pytest.mark.parametrize("n,d,p,sigma", [(1000, 63, 0.5, 1.0), (300, 20, 0.1, 0.5),
+                                             (50, 7, 1.0, 0.0), (64, 3, 0.01, 2.0)])
+    def test_same_bytes_as_nonzero_draw(self, n, d, p, sigma):
+        # the former draw: 2-D np.nonzero of the mask and a 2-D fancy index
+        config = SimConfig(n=n, d=d, p=p, sigma=sigma, replicates=1, seed=18)
+        rng = _stream(config.seed, 2)
+        lim, r = config.factor_range, config.true_rank
+        A = rng.uniform(-lim, lim, (n, r))
+        B = rng.uniform(-lim, lim, (d, r))
+        M0 = GroundTruth.from_factors(A, B, sigma, p).M0
+        rows, cols = np.nonzero(rng.random((n, d)) < p)
+        vals = M0[rows, cols] + rng.normal(0.0, sigma, rows.size)
+        _, obs = generate_instance(config, 2)
+        for name, former in (("rows", rows), ("cols", cols), ("vals", vals)):
+            got = getattr(obs, name)
+            assert got.dtype == former.dtype and got.tobytes() == former.tobytes(), name
+
     def test_replicates_differ(self):
         config = SimConfig(n=40, p=0.5, sigma=1.0, replicates=2, seed=3)
         _, o1 = generate_instance(config, 0)
@@ -125,6 +142,32 @@ class TestGenerate:
     def test_from_factors_rank_out_of_range(self):
         with pytest.raises(ValueError, match="rank out of range"):
             GroundTruth.from_factors(np.ones((1, 2)), np.ones((3, 2)), 1.0, 0.5)
+
+    @pytest.mark.parametrize("n,d,r", [(1000, 63, 2), (40, 300, 3), (5, 5, 5)])
+    def test_from_factors_passes_the_constructor_checks(self, n, d, r):
+        # from_factors skips the O(n d) product check; its fields pass it
+        rng = np.random.default_rng(n * d + r)
+        A, B = rng.uniform(-5, 5, (n, r)), rng.uniform(-5, 5, (d, r))
+        fast = GroundTruth.from_factors(A, B, 1.0, 0.5)
+        checked = GroundTruth(fast.M0, fast.U, fast.V, fast.lambdas, fast.sigma, fast.p)
+        for name in ("M0", "U", "V", "lambdas"):
+            a, b = getattr(fast, name), getattr(checked, name)
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable, name
+        assert (fast.sigma, fast.p) == (checked.sigma, checked.p) == (1.0, 0.5)
+
+    def test_from_factors_keeps_the_scalar_checks(self):
+        A = np.ones((4, 1))
+        with pytest.raises(ValueError, match="sigma"):
+            GroundTruth.from_factors(A, A, -1.0, 0.5)
+        with pytest.raises(ValueError, match="p must be"):
+            GroundTruth.from_factors(A, A, 1.0, 0.0)
+
+    def test_constructor_rejects_a_mismatched_product(self):
+        truth = GroundTruth.from_factors(np.ones((4, 1)), np.ones((3, 1)), 1.0, 0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            GroundTruth(truth.M0 + 1e-3, truth.U, truth.V, truth.lambdas, 1.0, 0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            GroundTruth.from_matrix(np.arange(12.0).reshape(4, 3) ** 2, 1, 1.0, 0.5)
 
 
 class TestRunReplicates:

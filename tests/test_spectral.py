@@ -13,6 +13,7 @@ from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
                     right_ladder, sin_theta_sq, singular_values_from_eigs,
                     sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
 from specmc import spectral
+from specmc.gram import _BLOCK_CELLS
 from specmc.spectral import _DENSE_RIGHT, EigenLadder, _canonical_signs
 
 
@@ -472,3 +473,61 @@ class TestMatrixFreeRight:
         GV = M.T @ (M @ V) - (1 - est.p_hat) * colsq[:, None] * V
         assert np.abs(GV - V * mu).max() <= 1e-10 * mu[0]
         assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-12
+
+
+# (seed, n, d, p, rank) on the one-block dense path (n * d <= _BLOCK_CELLS):
+# the sim shape, a small tall shape and a sparse, very thin one
+_DENSE_LEFT_CASES = [(41, 1000, 63, 0.5, 2), (42, 400, 40, 0.25, 2),
+                     (43, 6000, 10, 0.06, 2)]
+
+
+class TestDenseLeft:
+    """The left Lanczos on the zero-imputed dense matrix, pinned to the CSR
+    operator and to a dense eigh of the debiased left gram."""
+
+    @pytest.mark.parametrize("seed,n,d,p,rank", _DENSE_LEFT_CASES)
+    def test_matches_csr_operator_and_dense_eigh(self, seed, n, d, p, rank):
+        obs = _signal_case(seed, n, d, p, rank)
+        assert n * d <= _BLOCK_CELLS
+        p_hat = observed_fraction(obs)
+        refs = [top_gram_eigenpairs(obs.to_csr(), rank + 2, p_hat)]
+        # the 6000 x 6000 gram is left out: its eigh takes ~20 s and ~600 MB
+        if n <= 1000:
+            refs.append(sym_eig_desc(bias_adjust(gram_left(obs), p_hat), rank + 2))
+        top = top_gram_eigenpairs(obs.to_dense(), rank + 2, p_hat)
+        for ref in refs:
+            k = top.values.size
+            assert np.abs(top.values - ref.values[:k]).max() <= 1e-12 * ref.values[0]
+            for j in range(k):
+                assert sin_theta_sq(top.vectors[:, [j]], ref.vectors[:, [j]]) <= 1e-12
+            assert abs(top.full_trace - ref.full_trace) <= 1e-12 * ref.full_trace
+            assert top.dim == ref.dim == n
+
+    def test_row_norms_of_every_input_kind(self):
+        from scipy.sparse import csr_matrix
+        obs = _signal_case(*_DENSE_LEFT_CASES[1])
+        p_hat = observed_fraction(obs)
+        traces = {kind: top_gram_eigenpairs(X, 2, p_hat).full_trace
+                  for kind, X in (("dense", obs.to_dense()), ("csr_array", obs.to_csr()),
+                                  ("csr_matrix", csr_matrix(obs.to_csr())))}
+        ref = p_hat * float((obs.vals**2).sum())
+        assert all(abs(t - ref) <= 1e-12 * ref for t in traces.values()), traces
+
+    @pytest.mark.parametrize("case,dense_left", [(_DENSE_LEFT_CASES[0], True),
+                                                 ((44, 20000, 63, 0.5, 2), False)])
+    def test_path_follows_cell_count(self, case, dense_left, monkeypatch):
+        from scipy.sparse import issparse
+        obs = _signal_case(*case)
+        n, d = obs.shape
+        assert n * d * d <= _DENSE_RIGHT * obs.nnz  # both on the dense right path
+        csr_built, operands = [], []
+        to_csr, top = ObservedMatrix.to_csr, spectral.top_gram_eigenpairs
+        monkeypatch.setattr(ObservedMatrix, "to_csr",
+                            lambda self: csr_built.append(self.shape) or to_csr(self))
+        monkeypatch.setattr(spectral, "top_gram_eigenpairs",
+                            lambda X, *a: operands.append(X) or top(X, *a))
+        est = estimate_singular_triplets(obs, case[-1])
+        assert len(operands) == 1 and operands[0].shape == (n, d)
+        assert issparse(operands[0]) != dense_left
+        assert csr_built == ([] if dense_left else [(n, d)])
+        assert est.U_hat.shape == (n, case[-1])
