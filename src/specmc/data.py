@@ -13,6 +13,24 @@ def _frozen_array(a, dtype):
     return out
 
 
+def check_int(value, name):
+    """value as an int; ValueError naming `name` unless it is an integer
+    (a Python or numpy one; a bool is not)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def index_array(values, name):
+    """values as a flat int64 array. A non-empty array needs an integer
+    dtype: casting 0.9 or 1.2 would silently truncate it to another cell."""
+    index = np.asarray(values).ravel()
+    if index.size and not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got {index.dtype} "
+                         f"(first entry {index[:1].tolist()[0]!r})")
+    return index.astype(np.int64, copy=False)
+
+
 def _strictly_row_major(rows, cols):
     """True when each (row, col) pair is greater than the one before it."""
     r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
@@ -36,10 +54,10 @@ class ObservedMatrix:
     vals: np.ndarray
 
     def __post_init__(self):
-        if self.n_rows < 0 or self.n_cols < 0:
+        if check_int(self.n_rows, "n_rows") < 0 or check_int(self.n_cols, "n_cols") < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        rows = index_array(self.rows, "rows")
+        cols = index_array(self.cols, "cols")
         vals = np.asarray(self.vals, dtype=np.float64).ravel()
         if not (rows.size == cols.size == vals.size):
             raise ValueError("rows, cols, vals must have equal length")
@@ -185,7 +203,7 @@ class GroundTruth:
     def from_matrix(cls, M0, rank, sigma, p):
         """Build from a dense matrix via its exact SVD, keeping `rank` factors."""
         M0 = np.asarray(M0, dtype=np.float64)
-        if not (1 <= rank <= min(M0.shape)):
+        if not (1 <= check_int(rank, "rank") <= min(M0.shape)):
             raise ValueError("rank out of range")
         Uf, s, Vt = np.linalg.svd(M0, full_matrices=False)
         return cls._signed(M0, Uf[:, :rank], s[:rank], Vt[:rank].T, sigma, p)

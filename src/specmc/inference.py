@@ -16,7 +16,6 @@ formed.
 
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -25,30 +24,18 @@ from .gram import crossprod
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Per-singular-value variances and confidence intervals."""
+    """Per-singular-value variances and confidence intervals; the field
+    names are the keys of its JSON."""
 
     lambda_hat: np.ndarray
     noise_variance: float
-    signal_scales: np.ndarray   # lambda_hat / sqrt(n*d)
-    covariance: np.ndarray      # raw plug-in covariance, may have negative diagonal
-    variances: np.ndarray       # clamped diagonal actually used for the intervals
-    energy_variance: float      # variance functional of sum_{i<=m} lambda_hat_i^2
-    m: int
-    intervals: np.ndarray       # (r, 2) rows of (lower, upper)
+    signal_scales: np.ndarray      # lambda_hat / sqrt(n*d)
+    covariance: np.ndarray         # raw plug-in covariance, may have negative diagonal
+    variances_clamped: np.ndarray  # clamped diagonal actually used for the intervals
+    energy_variance: float         # variance functional of sum_{i<=m} lambda_hat_i^2
+    m: int                         # the estimate's rank
+    intervals: np.ndarray          # (r, 2) rows of (lower, upper)
     alpha: float
-
-    def to_dict(self):
-        return {
-            "lambda_hat": self.lambda_hat,
-            "noise_variance": self.noise_variance,
-            "signal_scales": self.signal_scales,
-            "covariance": self.covariance,
-            "variances_clamped": self.variances,
-            "energy_variance": self.energy_variance,
-            "m": self.m,
-            "intervals": self.intervals,
-            "alpha": self.alpha,
-        }
 
 
 def estimate_noise_variance(tau_hat, p_hat, n):
@@ -131,18 +118,18 @@ def check_alpha(alpha):
 def confidence_intervals(est, covariance, alpha):
     """Normal intervals lambda_hat_i +- z_{1-alpha/2} sqrt(max(cov_ii, 0))."""
     check_alpha(alpha)
+    from statistics import NormalDist  # loaded only where an interval is built
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     var = np.clip(np.diag(np.asarray(covariance, dtype=np.float64)), 0.0, None)
     half = z * np.sqrt(var)
     return np.column_stack([est.lambda_hat - half, est.lambda_hat + half])
 
 
-def build_report(cm, alpha=0.05, m=None):
-    """Full inference report for a completed matrix."""
+def build_report(cm, alpha=0.05):
+    """Full inference report for a completed matrix; its energy variance
+    sums all est.rank values (squared_sv_sum_variance_plugin takes any m)."""
     est = cm.estimate
     n, d = est.shape
-    if m is None:
-        m = est.rank
     if est.p_hat * n / d < 10:
         warnings.warn(
             f"p_hat*n/d = {est.p_hat * n / d:.2f} < 10; asymptotic variances "
@@ -157,9 +144,9 @@ def build_report(cm, alpha=0.05, m=None):
         noise_variance=float(noise_var),
         signal_scales=est.signal_scales(),
         covariance=cov,
-        variances=np.clip(np.diag(cov), 0.0, None),
-        energy_variance=float(squared_sv_sum_variance_plugin(cm, noise_var, m)),
-        m=int(m),
+        variances_clamped=np.clip(np.diag(cov), 0.0, None),
+        energy_variance=float(squared_sv_sum_variance_plugin(cm, noise_var, est.rank)),
+        m=est.rank,
         intervals=confidence_intervals(est, cov, alpha),
         alpha=float(alpha),
     )

@@ -10,7 +10,6 @@ as JSON (sorted keys) or CSV, with floats printed to 17 significant digits so
 identical inputs always produce identical bytes.
 """
 
-import csv
 import sys
 import warnings
 from dataclasses import dataclass, is_dataclass
@@ -137,6 +136,7 @@ def _parse_lines(path, delimiter):
 
 def load_dense(path, missing_token="NA", delimiter=","):
     """Read a rectangular CSV; cells equal to missing_token are unobserved."""
+    import csv  # loaded only for dense input
     rows, cols, vals = [], [], []
     width = None
     n_rows = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ObservedMatrix
+from .data import ObservedMatrix, index_array
 from .inference import pair_m2_sums
 from .spectral import SpectralEstimate
 
@@ -118,15 +118,15 @@ def enumerate_sign_residuals(est, obs):
     return cand, np.einsum("t,t->", obs.vals, obs.vals) - 2.0 * (cand @ h) + quad
 
 
-def resolve_signs_exhaustive(est, obs, budget=SIGN_BUDGET):
+def resolve_signs_exhaustive(est, obs):
     """Globally best sign vector over all 2^r candidates.
 
-    Ties prefer +1 lexicographically. Raises when r exceeds the budget;
+    Ties prefer +1 lexicographically. Raises when r exceeds SIGN_BUDGET;
     use resolve_signs_heuristic in that case.
     """
-    if est.rank > budget:
+    if est.rank > SIGN_BUDGET:
         raise ValueError(
-            f"rank {est.rank} exceeds the exhaustive budget {budget}; "
+            f"rank {est.rank} exceeds the exhaustive budget {SIGN_BUDGET}; "
             "use resolve_signs_heuristic"
         )
     cand, residuals = enumerate_sign_residuals(est, obs)
@@ -144,12 +144,12 @@ def resolve_signs_heuristic(est, obs):
     return _sign_of(_linear_term(est, obs.to_csr()))
 
 
-def resolve_signs(est, obs, method="auto", budget=SIGN_BUDGET):
-    """Dispatch: exhaustive within budget, heuristic otherwise."""
+def resolve_signs(est, obs, method="auto"):
+    """Dispatch: exhaustive up to SIGN_BUDGET factors, heuristic above."""
     if method == "auto":
-        method = "exhaustive" if est.rank <= budget else "heuristic"
+        method = "exhaustive" if est.rank <= SIGN_BUDGET else "heuristic"
     if method == "exhaustive":
-        return resolve_signs_exhaustive(est, obs, budget), "exhaustive"
+        return resolve_signs_exhaustive(est, obs), "exhaustive"
     if method == "heuristic":
         return resolve_signs_heuristic(est, obs), "heuristic"
     raise ValueError(f"unknown sign method {method!r}")
@@ -168,8 +168,7 @@ def reference_signs(est, truth):
 
 def assemble(est, signs, method="exhaustive"):
     """Bundle an estimate with a resolved sign vector."""
-    return CompletedMatrix(estimate=est, signs=np.asarray(signs, dtype=np.float64),
-                           method=method)
+    return CompletedMatrix(estimate=est, signs=signs, method=method)
 
 
 def complete(obs: ObservedMatrix, est: SpectralEstimate, method="auto"):
@@ -194,8 +193,8 @@ def check_cells(shape, rows, cols):
 
 def predict_entries(cm, rows, cols):
     """Completed-matrix values at the listed cells, without densifying."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows = index_array(rows, "rows")
+    cols = index_array(cols, "cols")
     check_cells(cm.shape, rows, cols)
     return np.einsum("ti,ti->t", cm.estimate.U_hat[rows] * cm.coef(),
                      cm.estimate.V_hat[cols])

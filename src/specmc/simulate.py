@@ -8,13 +8,12 @@ can be regenerated bit-identically, in any order and on any worker count.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .data import GroundTruth, ObservedMatrix
+from .data import GroundTruth, ObservedMatrix, check_int
 from .metrics import (MetricRow, frobenius_mse, sign_align, sin_theta_sq,
                       standardized_sv_stat, true_sv_sum_variance)
 from .rank import estimate_rank
@@ -41,9 +40,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.d is None:
-            self.d = default_dim(self.n)
+            self.d = default_dim(check_int(self.n, "n"))
         if self.metrics_m is None:
             self.metrics_m = self.true_rank
+        for name in ("n", "d", "replicates", "seed", "true_rank", "metrics_m"):
+            check_int(getattr(self, name), name)
         if not (0 < self.p <= 1):
             raise ValueError("p must be in (0, 1]")
         if not (0 <= self.sigma < np.inf):
@@ -143,7 +144,7 @@ def _aggregate(rows):
 
 
 def check_workers(workers):
-    if workers < 1:
+    if check_int(workers, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
@@ -160,6 +161,7 @@ def run_replicates(config, workers=1):
 
     indices = range(config.replicates)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a threaded batch only
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(job, indices))
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ObservedMatrix
+from .data import ObservedMatrix, check_int
 from .gram import _BLOCK_CELLS, bias_adjust, gram_right, observed_fraction
 from .rank import check_c_const, estimate_rank
 
@@ -297,7 +297,7 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     """
     check_c_const(c_const)
     n, d = obs.shape
-    if rank != "auto" and not (1 <= rank < min(n, d)):
+    if rank != "auto" and not (1 <= check_int(rank, "rank") < min(n, d)):
         raise ValueError(f"rank must be in [1, {min(n, d) - 1}], got {rank}")
     if obs.nnz == 0:
         raise ValueError("cannot estimate from an empty mask")

@@ -349,6 +349,19 @@ class TestInfer:
         lo, hi = report["intervals"][0]
         assert lo <= report["lambda_hat"][0] <= hi
 
+    def test_report_keys(self, tmp_path):
+        # one key per InferenceReport field, m the rank
+        out = tmp_path / "report.json"
+        assert _run(["infer", "--input", _rank3_file(tmp_path), "--rank", "3",
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report) == ["alpha", "covariance", "energy_variance", "intervals",
+                                "lambda_hat", "m", "noise_variance", "signal_scales",
+                                "variances_clamped"]
+        assert report["m"] == 3
+        assert report["variances_clamped"] == [max(row[i], 0.0) for i, row
+                                               in enumerate(report["covariance"])]
+
 
 class TestEval:
     def test_train_equals_test_perfect(self, tmp_path):

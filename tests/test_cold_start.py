@@ -29,6 +29,15 @@ def test_import_loads_no_scipy(module):
     assert _fresh(f"import sys, {module}; print({SCIPY_LOADED})") == "[]"
 
 
+def test_import_loads_no_unused_stdlib():
+    # statistics serves intervals, concurrent.futures threaded batches and
+    # csv dense input; each is imported where it is used
+    code = ("import sys, specmc; "
+            "print([m for m in ('statistics', 'concurrent.futures', 'csv') "
+            "if m in sys.modules])")
+    assert _fresh(code) == "[]"
+
+
 @pytest.mark.parametrize("argv", [["rank", "--scree-out", "{tmp}/scree.csv"],
                                   ["scree", "--k", "5"]], ids=["rank", "scree"])
 def test_rank_and_scree_load_no_scipy(tmp_path, argv):

@@ -221,12 +221,12 @@ class TestBuildReport:
         cm = self._cm()
         report = build_report(cm, alpha=0.05)
         assert report.intervals.shape == (2, 2)
-        assert np.all(report.variances >= 0)
+        assert np.all(report.variances_clamped >= 0)
         mid = report.intervals.mean(axis=1)
         assert np.allclose(mid, report.lambda_hat, atol=1e-9)
         # raw covariance retained alongside the clamped diagonal
         assert np.allclose(np.clip(np.diag(report.covariance), 0, None),
-                           report.variances)
+                           report.variances_clamped)
 
     def test_warns_on_small_aspect_ratio(self):
         cm = self._cm(n=30, d=12, p=0.5, seed=7)

@@ -424,3 +424,25 @@ class TestObservedMatrix:
         rng = np.random.default_rng(0)
         obs = ObservedMatrix.from_mask(rng.normal(size=(4, 6)), rng.random((4, 6)) < 0.5)
         assert obs.transpose().transpose() == obs
+
+    @pytest.mark.parametrize("rows, cols, name", [([0.9, 1.7], [0, 1.2], "rows"),
+                                                  ([0, 1], [0, 1.2], "cols"),
+                                                  ([0.0, 1.0], [0, 1], "rows"),
+                                                  ([True, False], [0, 1], "rows")])
+    def test_non_integer_indices_rejected(self, rows, cols, name):
+        # a cast would store 0.9, 1.7 and 1.2 as the cells (0, 0) and (1, 1)
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            ObservedMatrix(2, 2, rows, cols, [1.0, 2.0])
+
+    @pytest.mark.parametrize("n_rows, n_cols, name", [(2.5, 3, "n_rows"), (2, 3.0, "n_cols"),
+                                                      (True, 3, "n_rows"),
+                                                      (2, np.bool_(True), "n_cols")])
+    def test_non_integer_shape_rejected(self, n_rows, n_cols, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ObservedMatrix(n_rows, n_cols, [0], [0], [1.0])
+
+    def test_numpy_integers_accepted(self):
+        obs = ObservedMatrix(np.int64(2), np.int32(3), np.array([1, 0], np.int32),
+                             np.array([2, 0], np.uint8), [1.0, 2.0])
+        assert obs.rows.dtype == obs.cols.dtype == np.int64
+        assert (obs.rows.tolist(), obs.cols.tolist()) == ([0, 1], [0, 2])

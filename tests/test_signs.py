@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg
 
 import specmc.spectral
+from specmc import signs
 from specmc import (ObservedMatrix, assemble, enumerate_sign_residuals,
                     estimate_singular_triplets, predict_entries, predict_entry,
                     reference_signs, resolve_signs, resolve_signs_exhaustive,
@@ -66,10 +67,11 @@ class TestExhaustive:
         chosen = resolve_signs_exhaustive(est, obs)
         assert chosen.tolist() == best.tolist()
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         obs, est = _rank1_setup()
+        monkeypatch.setattr(signs, "SIGN_BUDGET", 0)
         with pytest.raises(ValueError, match="heuristic"):
-            resolve_signs_exhaustive(est, obs, budget=0)
+            resolve_signs_exhaustive(est, obs)
 
     def test_attains_minimum_over_enumeration(self):
         rng = np.random.default_rng(1)
@@ -135,11 +137,12 @@ class TestHeuristicOnWorkloads:
 
 
 class TestDispatchAndReference:
-    def test_auto_prefers_exhaustive(self):
+    def test_auto_prefers_exhaustive(self, monkeypatch):
         obs, est = _rank1_setup()
         _, method = resolve_signs(est, obs, "auto")
         assert method == "exhaustive"
-        _, method = resolve_signs(est, obs, "auto", budget=0)
+        monkeypatch.setattr(signs, "SIGN_BUDGET", 0)
+        _, method = resolve_signs(est, obs, "auto")
         assert method == "heuristic"
 
     def test_reference_signs_flag_flips(self):
@@ -201,6 +204,12 @@ class TestAssembleAndPredict:
         cm = self._completed()
         with pytest.raises(IndexError):
             predict_entry(cm, 2, 0)
+
+    @pytest.mark.parametrize("rows, cols, name", [([0.9], [1], "rows"), ([1], [1.2], "cols")])
+    def test_predict_non_integer_cell_rejected(self, rows, cols, name):
+        # a cast would predict the cell (0, 1) or (1, 1)
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            predict_entries(self._completed(), rows, cols)
 
     def test_predict_matches_dense_cells(self):
         rng = np.random.default_rng(4)

@@ -47,6 +47,20 @@ class TestConfig:
         assert SimConfig(n=30, p=0.5, sigma=1.0, replicates=1, seed=0,
                          true_rank=1).metrics_m == 1
 
+    @pytest.mark.parametrize("name, value", [("n", 200.5), ("d", 28.0), ("replicates", 2.0),
+                                             ("seed", True), ("true_rank", 2.0),
+                                             ("metrics_m", 1.5)])
+    def test_non_integer_setting_rejected(self, name, value):
+        settings = dict(n=200, p=0.5, sigma=1.0, replicates=1, seed=0)
+        settings[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**settings)
+
+    def test_numpy_integer_settings_accepted(self):
+        config = SimConfig(n=np.int64(100), p=0.5, sigma=1.0, replicates=np.int32(2),
+                           seed=np.uint8(0), true_rank=np.int64(2))
+        assert (config.d, config.metrics_m) == (20, 2)
+
     @pytest.mark.parametrize("factor_range", [0.0, -1.0, np.inf, np.nan])
     def test_bad_factor_range(self, factor_range):
         with pytest.raises(ValueError, match="factor_range must be positive"):
@@ -139,6 +153,10 @@ class TestGenerate:
             a, b = getattr(fast, name), getattr(dense, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
+    def test_from_matrix_non_integer_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            GroundTruth.from_matrix(np.eye(3), 1.0, 1.0, 0.5)
+
     def test_from_factors_rank_out_of_range(self):
         with pytest.raises(ValueError, match="rank out of range"):
             GroundTruth.from_factors(np.ones((1, 2)), np.ones((3, 2)), 1.0, 0.5)
@@ -206,6 +224,15 @@ class TestRunReplicates:
         threaded = run_replicates(config, workers=2)
         assert dumps_csv(serial.to_rows()) == dumps_csv(threaded.to_rows())
 
+    @pytest.mark.parametrize("n,p", [(400, 0.1), (900, 0.08)])
+    def test_worker_count_invariance_on_the_lanczos_path(self, n, p):
+        # each thread also forms the lazy right ladder behind r_hat
+        config = SimConfig(n=n, p=p, sigma=1.0, replicates=4, seed=12)
+        assert config.d > spectral._DENSE_RIGHT * p  # n d^2 > _DENSE_RIGHT * E[nnz]
+        serial = run_replicates(config, workers=1)
+        threaded = run_replicates(config, workers=3)
+        assert dumps_csv(serial.to_rows()) == dumps_csv(threaded.to_rows())
+
     def test_lambda_mse_stable_in_n(self):
         # the singular value error should not trend with n at fixed p
         agg = {}
@@ -238,6 +265,12 @@ class TestRunReplicates:
         config = SimConfig(n=30, p=0.5, sigma=1.0, replicates=2, seed=11)
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers must be at least 1"):
+                run_replicates(config, workers=workers)
+
+    def test_non_integer_workers_rejected(self):
+        config = SimConfig(n=30, p=0.5, sigma=1.0, replicates=2, seed=11)
+        for workers in (2.0, True):
+            with pytest.raises(ValueError, match="workers must be an integer"):
                 run_replicates(config, workers=workers)
 
     def test_replicate_failure_is_labeled(self):

@@ -6,8 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
+from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust, complete,
                     estimate_singular_triplets, generate_instance, gram_left,
                     gram_right, observed_fraction, resolve_signs_heuristic,
                     right_ladder, sin_theta_sq, singular_values_from_eigs,
@@ -216,6 +218,21 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_singular_triplets(obs, 0)
 
+    @pytest.mark.parametrize("rank", [2.0, 2.7, True, np.bool_(True), "2", None])
+    def test_non_integer_rank_rejected(self, rank):
+        # 2.0 and 2.7 reached ARPACK, which failed with a SystemError
+        _, obs = generate_instance(SimConfig(n=60, p=0.5, sigma=1.0, replicates=1,
+                                             seed=3), 0)
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            estimate_singular_triplets(obs, rank)
+
+    def test_numpy_integer_rank_accepted(self):
+        _, obs = generate_instance(SimConfig(n=60, p=0.5, sigma=1.0, replicates=1,
+                                             seed=3), 0)
+        a = estimate_singular_triplets(obs, np.int64(2))
+        b = estimate_singular_triplets(obs, 2)
+        assert a.lambda_hat.tobytes() == b.lambda_hat.tobytes()
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_singular_triplets(ObservedMatrix(4, 3, [], [], []), 1)
@@ -422,7 +439,7 @@ class TestMatrixFreeRight:
         assert len(calls) == int(dense)
         calls.clear()
         estimate_singular_triplets(obs, "auto")
-        assert calls == [obs.shape]  # one gram serves r_hat and V_hat
+        assert calls == [obs.shape]  # one gram: r_hat's, and V_hat's on the dense path
 
     @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES + _SIDE_CASES)
     def test_matches_dense_reference(self, seed, n, d, p, rank):
@@ -531,3 +548,51 @@ class TestDenseLeft:
         assert issparse(operands[0]) != dense_left
         assert csr_built == ([] if dense_left else [(n, d)])
         assert est.U_hat.shape == (n, case[-1])
+
+
+# (n range, p range) of sim instances on each right path: d = 2 sqrt(n) is
+# diagonalised densely where n d^2 <= _DENSE_RIGHT * nnz, about d <= 200 p
+_SIM_PATHS = {"dense": ((30, 400), (0.3, 1.0)), "lanczos": ((200, 900), (0.05, 0.12))}
+_SIM_DRAW = dict(path=st.sampled_from(sorted(_SIM_PATHS)), n_frac=st.floats(0, 1),
+                 p_frac=st.floats(0, 1), r=st.integers(1, 3), sigma=st.floats(0, 2),
+                 seed=st.integers(0, 2**16))
+
+
+def _sim_completion(path, n_frac, p_frac, r, sigma, seed):
+    (n_lo, n_hi), (p_lo, p_hi) = _SIM_PATHS[path]
+    config = SimConfig(n=round(n_lo + n_frac * (n_hi - n_lo)), p=p_lo + p_frac * (p_hi - p_lo),
+                       sigma=sigma, true_rank=r, replicates=1, seed=seed)
+    obs = generate_instance(config, 0)[1]
+    n, d = obs.shape
+    assert (n * d * d <= _DENSE_RIGHT * obs.nnz) == (path == "dense")
+    est = estimate_singular_triplets(obs, r)
+    return obs, est, complete(obs, est).dense()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(**_SIM_DRAW)
+def test_permutation_equivariance(path, n_frac, p_frac, r, sigma, seed):
+    # relabelling rows and columns relabels U_hat, V_hat and the completion
+    obs, est, dense = _sim_completion(path, n_frac, p_frac, r, sigma, seed)
+    rng = np.random.default_rng(seed)
+    pr, pc = rng.permutation(obs.n_rows), rng.permutation(obs.n_cols)
+    moved = ObservedMatrix(obs.n_rows, obs.n_cols, pr[obs.rows], pc[obs.cols], obs.vals)
+    est2 = estimate_singular_triplets(moved, r)
+    dense2 = complete(moved, est2).dense()
+    assert np.abs(est2.lambda_hat - est.lambda_hat).max() <= 1e-12 * est.lambda_hat.max()
+    assert sin_theta_sq(est2.U_hat[pr], est.U_hat) <= 1e-12
+    assert sin_theta_sq(est2.V_hat[pc], est.V_hat) <= 1e-12
+    assert np.abs(dense2[np.ix_(pr, pc)] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(c=st.sampled_from([1e3, -1e3, 1e-3, -1e-3]), **_SIM_DRAW)
+def test_scale_equivariance(c, path, n_frac, p_frac, r, sigma, seed):
+    # values times c scale lambda_hat by |c| and the completion by c
+    obs, est, dense = _sim_completion(path, n_frac, p_frac, r, sigma, seed)
+    scaled = ObservedMatrix(obs.n_rows, obs.n_cols, obs.rows, obs.cols, obs.vals * c)
+    est2 = estimate_singular_triplets(scaled, r)
+    dense2 = complete(scaled, est2).dense()
+    assert (np.abs(est2.lambda_hat / abs(c) - est.lambda_hat).max()
+            <= 1e-12 * est.lambda_hat.max())
+    assert np.abs(dense2 / c - dense).max() <= 1e-12 * np.abs(dense).max()
