@@ -27,10 +27,11 @@ def observed_fraction(obs):
 def crossprod(A):
     """A^T A of a (k, m) matrix, exactly symmetric.
 
-    Computed by scipy's BLAS syrk, the OpenBLAS that ARPACK also calls.
-    numpy's matmul would use numpy's own OpenBLAS, and on the sign-scan and
-    inference shapes it wakes that library's worker thread, which then
-    spins on a core beside the worker ARPACK keeps busy.
+    Computed by scipy's BLAS syrk, the OpenBLAS that ARPACK also calls, so
+    a request keeps to one BLAS library. numpy's matmul would use numpy's
+    own OpenBLAS, and on the sign-scan and inference shapes it wakes that
+    library's worker thread, which then spins on a core for a while after
+    the call.
     """
     # imported on first call: scipy adds ~0.3 s to a cold import of specmc
     from scipy.linalg.blas import dsyrk
@@ -43,17 +44,21 @@ def gram_right(obs):
     """M^T M of the zero-imputed matrix, (d, d), exactly symmetric.
 
     Each block Z of zero-imputed rows adds Z^T Z (a BLAS syrk). A block has
-    max(d, _BLOCK_CELLS // d) rows, so memory is O(d^2 + _BLOCK_CELLS) and a
-    matrix of at most _BLOCK_CELLS cells is one block.
+    max(d, _BLOCK_CELLS // d) rows, so memory is O(d^2 + _BLOCK_CELLS). A
+    matrix of at most _BLOCK_CELLS cells is one block: `obs.to_dense()`,
+    which obs keeps for the estimator's left Lanczos.
     The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
     input is slow here. The estimator forms it only where it is small next
     to the data (spectral._DENSE_RIGHT); elsewhere only requests that read
     the full right spectrum (rank selection, the scree) form it.
     """
     n, d = obs.shape
-    g = np.zeros((d, d))
+    if n * d <= _BLOCK_CELLS:
+        # the kept dense matrix, which the estimator's left Lanczos reads too
+        z = obs.to_dense()
+        return z.T @ z
     ptr = obs.row_ptr()
-    block = max(d, _BLOCK_CELLS // max(d, 1))
+    block = max(d, _BLOCK_CELLS // d)  # d >= 1: n * d > _BLOCK_CELLS
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         a, b = ptr[lo], ptr[hi]

@@ -25,12 +25,17 @@ side takes one of two paths, chosen from the input's shape and density:
 
 ARPACK's restarted Lanczos keeps a basis of about 20 vectors and runs many
 small products, so on a small right gram one dense eigensystem is faster.
+Each Lanczos solve runs with scipy's OpenBLAS held at one thread
+(_one_blas_thread), which changes its speed on a shared core, not its bytes.
 Memory stays O(nnz + (n + d) * r) on both paths: the dense one holds d^2
 <= _DENSE_RIGHT * nnz / n floats, which is O(nnz) for n >= _DENSE_RIGHT,
 and at most _BLOCK_CELLS floats of dense data.
 """
 
+import functools
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +183,65 @@ def sym_eig_desc(S, k=None):
                        full_trace=float(np.trace(S)))
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) thread-count functions of scipy's OpenBLAS, or None.
+
+    Looked up in the shared object that scipy.linalg.blas loads, which
+    ARPACK's BLAS calls resolve to as well. None where scipy is built on
+    another BLAS (MKL, Accelerate, a system OpenBLAS) or the load fails.
+    """
+    import ctypes
+
+    from scipy.linalg import _fblas
+    try:
+        lib = ctypes.CDLL(_fblas.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+# The thread count is one setting of the whole process, so the solves that
+# overlap (simulate's --workers threads) share one scope: the first to enter
+# saves the count and sets 1, the last to leave puts it back.
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread while the block runs.
+
+    ARPACK's BLAS-2 updates on n x ncv arrays (ncv about 20) are large
+    enough for OpenBLAS to hand to its worker thread, which then spins
+    beside the caller's own (numpy's) BLAS worker and oversubscribes the
+    cores. Does nothing where the count cannot be set.
+    """
+    global _blas_users, _blas_saved
+    threads = _scipy_blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)
+
+
 def top_gram_eigenpairs(X, k, p_hat=1.0):
     """Top-k eigenpairs of the debiased gram of X, without forming it.
 
@@ -190,8 +254,9 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
     iterations (ARPACK via `eigsh`) at full precision. The largest
     algebraic eigenvalues are requested because the debiased gram is
     indefinite. The start vector and the restart draws are fixed, so equal
-    input gives equal bytes. Returns a top-k EigenLadder with
-    dim = X.shape[0] and the trace p_hat * sum(rowsq).
+    input gives equal bytes, whatever the BLAS thread count; the solve runs
+    on one thread of scipy's OpenBLAS (_one_blas_thread). Returns a top-k
+    EigenLadder with dim = X.shape[0] and the trace p_hat * sum(rowsq).
     """
     # imported on first call: scipy adds ~0.3 s to a cold import of specmc
     from scipy.sparse import issparse
@@ -213,7 +278,8 @@ def top_gram_eigenpairs(X, k, p_hat=1.0):
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     # a ones start vector can lie in the null space of a rank-one gram
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-    w, Q = eigsh(op, k=k, which="LA", v0=v0, tol=0, rng=0)
+    with _one_blas_thread():
+        w, Q = eigsh(op, k=k, which="LA", v0=v0, tol=0, rng=0)
     order = np.argsort(w, kind="stable")[::-1]
     return EigenLadder(values=w[order], vectors=_canonical_signs(Q[:, order]),
                        full_trace=p_hat * float(rowsq.sum()), dim=dim)
@@ -284,11 +350,11 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     ladder (`sym_eig_desc(., 0)`, the same bytes as `right_ladder(obs)`)
     gives the noise floor and the singular values and is kept as
     `SpectralEstimate.right_ladder`, and LAPACK gives its top-`rank`
-    vectors; if n * d <= _BLOCK_CELLS too, the left Lanczos runs on
-    `obs.to_dense()` rather than a CSR copy. Elsewhere the right side is a
-    Lanczos solve too, the noise floor uses the trace shortcut, and the full
-    right ladder is computed only when read. Memory is O(nnz + (n + d) *
-    rank) either way.
+    vectors; if n * d <= _BLOCK_CELLS too, the gram and the left Lanczos
+    both read the one kept `obs.to_dense()`, and no CSR copy is built.
+    Elsewhere the right side is a Lanczos solve too, the noise floor uses
+    the trace shortcut, and the full right ladder is computed only when
+    read. Memory is O(nnz + (n + d) * rank) either way.
 
     rank="auto" picks r_hat by rank.estimate_rank (floor constant c_const)
     on the values-only right ladder, which the estimate then keeps; the
@@ -315,7 +381,8 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
             raise ValueError(f"automatic rank selection gave r_hat={rank}; "
                              "pass an explicit rank")
     # one gram block is small enough to hold densely, and there the dense
-    # products of the left Lanczos beat sparse ones
+    # products of the left Lanczos beat sparse ones; gram_right has already
+    # zero-imputed it, and to_dense returns that copy
     X = (obs.to_dense() if dense_right and n * d <= _BLOCK_CELLS
          else obs.to_csr())
     if dense_right:

@@ -1,6 +1,7 @@
 """Eigendecomposition contract and the singular triplet estimator."""
 
 import dataclasses
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -414,6 +415,11 @@ _PATHS = ([(case, True) for case in _SIDE_CASES[:2]]
           + [(case, False) for case in _SIDE_CASES[2:] + _RIGHT_CASES[1:]])
 
 
+def _estimate_bytes(est):
+    return [a.tobytes() for a in (est.U_hat, est.V_hat, est.lambda_hat,
+                                  est.left_ladder.values)] + [est.tau_hat]
+
+
 def _signal_case(seed, n, d, p, rank):
     config = SimConfig(n=n, d=d, p=p, sigma=1.0, true_rank=rank, replicates=1,
                        seed=seed)
@@ -549,6 +555,37 @@ class TestDenseLeft:
         assert csr_built == ([] if dense_left else [(n, d)])
         assert est.U_hat.shape == (n, case[-1])
 
+    @pytest.mark.parametrize("n", [1000, 1040])  # the sim shape and the one-block edge
+    def test_zero_imputes_once(self, n, monkeypatch):
+        obs = _signal_case(45, n, 63, 0.5, 2)
+        assert n * 63 <= _BLOCK_CELLS < 1041 * 63
+        z = np.zeros(obs.shape)
+        z[obs.rows, obs.cols] = obs.vals
+        assert gram_right(obs).tobytes() == (z.T @ z).tobytes()
+
+        def fields(est):
+            return _estimate_bytes(est) + [est.right_ladder.values.tobytes()]
+
+        # reference: every reader zero-imputes its own writable copy
+        def unkept(self):
+            out = np.zeros(self.shape)
+            out[self.rows, self.cols] = self.vals
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ObservedMatrix, "to_dense", unkept)
+            ref = fields(estimate_singular_triplets(obs, 2))
+        operands, top = [], spectral.top_gram_eigenpairs
+        monkeypatch.setattr(spectral, "top_gram_eigenpairs",
+                            lambda X, *a: operands.append(X) or top(X, *a))
+        fresh = ObservedMatrix(n, 63, obs.rows, obs.cols, obs.vals)
+        assert fields(estimate_singular_triplets(fresh, 2)) == ref
+        # the gram and the left Lanczos read the one kept, read-only copy
+        dense = fresh.to_dense()
+        assert len(operands) == 1 and operands[0] is dense
+        assert dense is fresh.to_dense() and not dense.flags.writeable
+        assert dense.tobytes() == z.tobytes()
+
 
 # (n range, p range) of sim instances on each right path: d = 2 sqrt(n) is
 # diagonalised densely where n d^2 <= _DENSE_RIGHT * nnz, about d <= 200 p
@@ -596,3 +633,93 @@ def test_scale_equivariance(c, path, n_frac, p_frac, r, sigma, seed):
     assert (np.abs(est2.lambda_hat / abs(c) - est.lambda_hat).max()
             <= 1e-12 * est.lambda_hat.max())
     assert np.abs(dense2 / c - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.fixture
+def blas_threads():
+    """scipy's OpenBLAS (get, set); the test's count is undone afterwards."""
+    threads = spectral._scipy_blas_threads()
+    if threads is None:
+        pytest.skip("scipy's OpenBLAS thread count cannot be set here")
+    get, put = threads
+    before = get()
+    yield get, put
+    put(before)
+
+
+class TestOneBlasThread:
+    """Each ARPACK solve holds scipy's OpenBLAS at one thread, then restores
+    the caller's count; outputs do not depend on it."""
+
+    @staticmethod
+    def _obs():
+        # the Lanczos path on both sides: n * d^2 > _DENSE_RIGHT * nnz
+        return _signal_case(*_SIDE_CASES[2])
+
+    @staticmethod
+    def _count_in_eigsh(monkeypatch, get):
+        """Record the thread count as each eigsh call starts and ends."""
+        import scipy.sparse.linalg
+        seen, eigsh = [], scipy.sparse.linalg.eigsh
+
+        def counted(*args, **kwargs):
+            start = get()
+            out = eigsh(*args, **kwargs)
+            seen.append((start, get()))
+            return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        return seen
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_count_restored(self, blas_threads, monkeypatch, count):
+        get, put = blas_threads
+        seen = self._count_in_eigsh(monkeypatch, get)
+        put(count)
+        estimate_singular_triplets(self._obs(), 3)
+        assert seen == [(1, 1)] * 2  # the right and the left solve
+        assert get() == count and spectral._blas_users == 0
+
+    def test_count_restored_when_eigsh_raises(self, blas_threads, monkeypatch):
+        import scipy.sparse.linalg
+        get, put = blas_threads
+        put(2)
+
+        def fail(*args, **kwargs):
+            assert get() == 1
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            estimate_singular_triplets(self._obs(), 3)
+        assert get() == 2 and spectral._blas_users == 0
+
+    def test_overlapping_solves_match_serial(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+        put(2)
+        obs = [self._obs(), _signal_case(*_RIGHT_CASES[2])]
+        serial = [_estimate_bytes(estimate_singular_triplets(o, 3)) for o in obs]
+        seen = self._count_in_eigsh(monkeypatch, get)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often inside the scope
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:  # more threads than cores
+                futures = [pool.submit(estimate_singular_triplets, obs[i % 2], 3)
+                           for i in range(8)]
+                out = [_estimate_bytes(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [serial[i % 2] for i in range(8)]
+        # no solve ran on two threads, even while another one was leaving
+        assert seen == [(1, 1)] * 16
+        assert get() == 2 and spectral._blas_users == 0
+
+    def test_outputs_without_the_setter(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+        put(2)
+        obs = self._obs()
+        scoped = _estimate_bytes(estimate_singular_triplets(obs, 3))
+        seen = self._count_in_eigsh(monkeypatch, get)
+        monkeypatch.setattr(spectral, "_scipy_blas_threads", lambda: None)
+        assert _estimate_bytes(estimate_singular_triplets(obs, 3)) == scoped
+        assert seen == [(2, 2)] * 2
