@@ -13,7 +13,7 @@ from .inference import (InferenceReport, build_report, confidence_intervals,
                         estimate_noise_variance, singular_value_covariance,
                         squared_sv_sum_variance, squared_sv_sum_variance_plugin)
 from .io import (IoOptions, dumps_csv, dumps_json, load_dense, load_triplets,
-                 project_omega, write_report, write_triplets)
+                 write_report, write_triplets)
 from .metrics import (MetricRow, frobenius_mse, rmse_on_omega, sign_align,
                       sin_theta_sq, standardized_sv_stat, true_sv_sum_variance)
 from .rank import RankDecision, estimate_rank, scree

@@ -6,8 +6,9 @@ file; a file it rejects, or one with an id below 1 or a non-finite value, is
 read again by a Python line loop, the reference parser, which accepts what
 Python's int() and float() accept and names the file and line of an error.
 Dense files are CSV with a configurable missing token. Reports are written
-as JSON (sorted keys) or CSV, with floats printed to 17 significant digits so
-identical inputs always produce identical bytes.
+as JSON (sorted keys, floats in Python's shortest round-trip form) or CSV
+(floats at 17 significant digits, as are triplet files), so identical inputs
+always produce identical bytes.
 """
 
 import sys
@@ -21,9 +22,6 @@ from .data import ObservedMatrix
 
 _TRIPLET = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
 _MAX_ID = np.iinfo(np.int64).max
-# JSON string escapes: backslash, quote and the C0 controls U+0000-U+001F
-_JSON_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"',
-                               **{chr(c): f"\\u{c:04x}" for c in range(0x20)}})
 
 
 @dataclass(frozen=True)
@@ -170,16 +168,6 @@ def write_triplets(obs, path, delimiter="\t"):
             fh.write(f"{r + 1}{delimiter}{c + 1}{delimiter}{_fmt(v)}\n")
 
 
-def project_omega(dense, mask_of):
-    """Values of a dense matrix at the observed cells of mask_of, row-major."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.shape != mask_of.shape:
-        raise ValueError(f"dense shape {dense.shape} != mask shape {mask_of.shape}")
-    picked = dense[mask_of.rows, mask_of.cols]
-    return [(int(r), int(c), float(v))
-            for r, c, v in zip(mask_of.rows, mask_of.cols, picked)]
-
-
 # ---------------------------------------------------------------------------
 # Deterministic serialization
 # ---------------------------------------------------------------------------
@@ -188,46 +176,29 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _jsonify(obj, out):
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append('"' + str(key).translate(_JSON_ESCAPES) + '":')
-            _jsonify(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _jsonify(item, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _jsonify(obj.tolist(), out)
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not isfinite(obj):
-            raise ValueError(f"JSON has no token for the non-finite value {obj}")
-        out.append(_fmt(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.translate(_JSON_ESCAPES) + '"')
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """What json cannot write itself, as something it can."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj):
-    """Bit-stable JSON: sorted keys, floats at 17 significant digits; a
-    non-finite float, which JSON has no token for, raises ValueError."""
-    out = []
-    _jsonify(obj, out)
-    return "".join(out)
+    """Bit-stable JSON: sorted keys, compact separators, floats in Python's
+    shortest round-trip form; a non-finite float, which JSON has no token
+    for, raises ValueError."""
+    import json  # loaded only when a report is written
+    try:
+        return json.dumps(obj, default=_plain, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, ensure_ascii=False)
+    except ValueError as exc:
+        raise ValueError(f"JSON has no token for a non-finite value ({exc})") from None
 
 
 def _csv_cell(x):
@@ -257,10 +228,6 @@ def write_report(report, path, format="json"):
     dataclass without one (written from its fields); CSV takes flat dict rows.
     """
     if format == "json":
-        if hasattr(report, "to_dict"):
-            report = report.to_dict()
-        elif is_dataclass(report):
-            report = vars(report)
         text = dumps_json(report) + "\n"
     elif format == "csv":
         text = dumps_csv(report)

@@ -30,10 +30,10 @@ def test_import_loads_no_scipy(module):
 
 
 def test_import_loads_no_unused_stdlib():
-    # statistics serves intervals, concurrent.futures threaded batches and
-    # csv dense input; each is imported where it is used
+    # statistics serves intervals, concurrent.futures threaded batches, csv
+    # dense input and json reports; each is imported where it is used
     code = ("import sys, specmc; "
-            "print([m for m in ('statistics', 'concurrent.futures', 'csv') "
+            "print([m for m in ('statistics', 'concurrent.futures', 'csv', 'json') "
             "if m in sys.modules])")
     assert _fresh(code) == "[]"
 

@@ -1,4 +1,4 @@
-"""Ingestion, projection, and deterministic serialization."""
+"""Ingestion and deterministic serialization."""
 
 import re
 import tempfile
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import specmc.data
 import specmc.io as sio
 from specmc import (IoOptions, ObservedMatrix, dumps_json, load_dense,
-                    load_triplets, project_omega, write_report, write_triplets)
+                    load_triplets, write_report, write_triplets)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -266,32 +266,6 @@ class TestLoadDense:
             load_dense(path, "NA")
 
 
-class TestProjectOmega:
-    def test_single_cell(self):
-        mask = ObservedMatrix(2, 2, [0], [1], [9.0])
-        assert project_omega([[1, 2], [3, 4]], mask) == [(0, 1, 2.0)]
-
-    def test_full_mask(self):
-        obs = ObservedMatrix.from_mask(np.arange(4.0).reshape(2, 2), np.ones((2, 2), bool))
-        assert len(project_omega([[1, 2], [3, 4]], obs)) == 4
-
-    def test_empty_mask(self):
-        mask = ObservedMatrix(2, 2, [], [], [])
-        assert project_omega([[1, 2], [3, 4]], mask) == []
-
-    def test_dim_mismatch(self):
-        mask = ObservedMatrix(2, 2, [0], [0], [1.0])
-        with pytest.raises(ValueError):
-            project_omega(np.zeros((3, 2)), mask)
-
-    def test_returns_stored_values_on_own_mask(self):
-        rng = np.random.default_rng(3)
-        dense = rng.normal(size=(5, 4))
-        obs = ObservedMatrix.from_mask(dense, rng.random((5, 4)) < 0.5)
-        got = project_omega(dense, obs)
-        assert np.array_equal([v for _, _, v in got], obs.vals)
-
-
 class TestRoundTrip:
     def test_triplet_round_trip_identical(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -351,7 +325,27 @@ class TestWriteReport:
 
         path = tmp_path / "fields.json"
         write_report(Fields("a", np.array([1.5, 2.0]), 0.25), str(path), "json")
-        assert path.read_text() == '{"name":"a","values":[1.5,2],"x":0.25}\n'
+        assert path.read_text() == '{"name":"a","values":[1.5,2.0],"x":0.25}\n'
+
+    def test_numpy_scalars_nested_in_results(self):
+        import json
+        from dataclasses import dataclass
+
+        @dataclass
+        class Inner:
+            count: np.int64
+            flag: np.bool_
+
+        class Outer:
+            def to_dict(self):
+                return {"inner": Inner(np.int64(7), np.bool_(True)),
+                        "x": np.float32(0.1), "xs": [np.bool_(False), np.int64(-3)]}
+
+        loaded = json.loads(dumps_json({"outer": Outer()}))
+        assert loaded == {"outer": {"inner": {"count": 7, "flag": True},
+                                    "x": float(np.float32(0.1)), "xs": [False, -3]}}
+        assert type(loaded["outer"]["inner"]["count"]) is int
+        assert type(loaded["outer"]["inner"]["flag"]) is bool
 
     def test_csv_rows(self, tmp_path):
         rows = [{"x": 1, "y": 0.5}, {"x": 2, "y": 1.5}]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from specmc import (GroundTruth, ObservedMatrix, SimConfig, default_dim,
-                    generate_instance, gram_right, run_replicate, run_replicates)
+from specmc import (SIGN_BUDGET, GroundTruth, ObservedMatrix, SimConfig,
+                    default_dim, generate_instance, gram_right, run_replicate,
+                    run_replicates)
 from specmc import spectral
 from specmc.io import dumps_csv
 from specmc.simulate import _stream
@@ -260,6 +261,13 @@ class TestRunReplicates:
         row = run_replicate(config, 0)
         assert calls == [(1000, 63)]
         assert row.r_hat == 2 and row.sign_correct
+
+    def test_rank_above_sign_budget_runs(self):
+        # above the exhaustive budget the replicate resolves signs heuristically
+        config = SimConfig(n=400, p=0.5, sigma=1.0, replicates=1, seed=13,
+                           true_rank=SIGN_BUDGET + 1)
+        row = run_replicate(config, 0)
+        assert all(np.isfinite(float(v)) for v in vars(row).values())
 
     def test_workers_below_one_rejected(self):
         config = SimConfig(n=30, p=0.5, sigma=1.0, replicates=2, seed=11)
