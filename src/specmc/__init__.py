@@ -19,7 +19,7 @@ from .metrics import (MetricRow, frobenius_mse, rmse_on_omega, sign_align,
 from .rank import RankDecision, estimate_rank, scree
 from .signs import (CompletedMatrix, SIGN_BUDGET, assemble, complete,
                     enumerate_sign_residuals, predict_entries, predict_entry,
-                    reference_signs, resolve_signs, resolve_signs_exhaustive,
+                    reference_signs, resolve_signs_exhaustive,
                     resolve_signs_heuristic)
 from .simulate import (SimConfig, SimResult, default_dim, generate_instance,
                        run_replicate, run_replicates)

@@ -91,13 +91,10 @@ def _add_input_flags(sp):
                     help="duplicate (row, col) policy (triplets only)")
 
 
-def _add_estimate_flags(sp, sign_method=True):
+def _add_estimate_flags(sp):
     sp.add_argument("--rank", type=_rank_arg, required=True,
                     help="factor count, or 'auto'")
     sp.add_argument("--cd-const", type=float, default=1.0, help=_CD_CONST_HELP)
-    if sign_method:
-        sp.add_argument("--sign-method", choices=("exhaustive", "heuristic", "auto"),
-                        default="auto")
 
 
 def _load_input(args):
@@ -148,7 +145,7 @@ def cmd_estimate(args):
 
 
 def _completed(args, obs):
-    cm = complete(obs, _estimate(args, obs), args.sign_method)
+    cm = complete(obs, _estimate(args, obs))
     _log(f"signs ({cm.method}): {' '.join('%+d' % s for s in cm.signs)}")
     return cm
 
@@ -238,7 +235,7 @@ def cmd_eval(args):
         _check_fits(train, train_path)
         _check_fits(test, test_path)
         train, test = _unify_dims(train, test)
-        cm = complete(train, _estimate(args, train), args.sign_method)
+        cm = complete(train, _estimate(args, train))
         value = rmse_on_omega(cm, test)
         _log(f"fold {train_path} -> {test_path}: rmse={value:.6f}")
         folds.append({"train": train_path, "test": test_path, "rmse": value})
@@ -287,7 +284,7 @@ def build_parser():
 
     sp = sub.add_parser("estimate", help="estimate singular triplets")
     _add_input_flags(sp)
-    _add_estimate_flags(sp, sign_method=False)
+    _add_estimate_flags(sp)
     common_out(sp)
     sp.set_defaults(func=cmd_estimate)
 
@@ -360,7 +357,7 @@ def main(argv=None):
         if "alpha" in args:
             check_alpha(args.alpha)
         return args.func(args)
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, RuntimeError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -14,6 +14,7 @@ always produce identical bytes.
 import sys
 import warnings
 from dataclasses import dataclass, is_dataclass
+from io import StringIO
 from math import isfinite
 
 import numpy as np
@@ -210,15 +211,18 @@ def _csv_cell(x):
 
 
 def dumps_csv(rows):
-    """CSV with header from the first row's keys (insertion order)."""
+    """CSV with header from the first row's keys (insertion order); a cell
+    holding a comma, a quote or a newline is quoted."""
+    import csv  # loaded only when a CSV is written
     rows = list(rows)
     if not rows:
         return ""
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(row[k]) for k in header] for row in rows)
+    return buf.getvalue()
 
 
 def write_report(report, path, format="json"):

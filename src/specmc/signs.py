@@ -32,7 +32,6 @@ class CompletedMatrix:
 
     estimate: SpectralEstimate
     signs: np.ndarray
-    method: str
     _sums: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -47,6 +46,11 @@ class CompletedMatrix:
     @property
     def shape(self):
         return self.estimate.shape
+
+    @property
+    def method(self):
+        """The sign rule complete() applies at this rank."""
+        return "exhaustive" if self.estimate.rank <= SIGN_BUDGET else "heuristic"
 
     def coef(self):
         """Signed singular values; the factor-form coefficients."""
@@ -144,17 +148,6 @@ def resolve_signs_heuristic(est, obs):
     return _sign_of(_linear_term(est, obs.to_csr()))
 
 
-def resolve_signs(est, obs, method="auto"):
-    """Dispatch: exhaustive up to SIGN_BUDGET factors, heuristic above."""
-    if method == "auto":
-        method = "exhaustive" if est.rank <= SIGN_BUDGET else "heuristic"
-    if method == "exhaustive":
-        return resolve_signs_exhaustive(est, obs), "exhaustive"
-    if method == "heuristic":
-        return resolve_signs_heuristic(est, obs), "heuristic"
-    raise ValueError(f"unknown sign method {method!r}")
-
-
 def reference_signs(est, truth):
     """Per-factor sign products against the true singular vectors.
 
@@ -166,15 +159,17 @@ def reference_signs(est, truth):
     return _sign_of(sv) * _sign_of(su)
 
 
-def assemble(est, signs, method="exhaustive"):
+def assemble(est, signs):
     """Bundle an estimate with a resolved sign vector."""
-    return CompletedMatrix(estimate=est, signs=signs, method=method)
+    return CompletedMatrix(estimate=est, signs=signs)
 
 
-def complete(obs: ObservedMatrix, est: SpectralEstimate, method="auto"):
-    """Resolve signs on the observed data and assemble in one step."""
-    signs, used = resolve_signs(est, obs, method)
-    return assemble(est, signs, used)
+def complete(obs: ObservedMatrix, est: SpectralEstimate):
+    """Resolve signs on the observed data and assemble in one step: the
+    exhaustive scan up to SIGN_BUDGET factors, the heuristic above."""
+    if est.rank <= SIGN_BUDGET:
+        return assemble(est, resolve_signs_exhaustive(est, obs))
+    return assemble(est, resolve_signs_heuristic(est, obs))
 
 
 def predict_entry(cm, k, h):

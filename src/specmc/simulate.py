@@ -17,7 +17,7 @@ from .data import GroundTruth, ObservedMatrix, check_int
 from .metrics import (MetricRow, frobenius_mse, sign_align, sin_theta_sq,
                       standardized_sv_stat, true_sv_sum_variance)
 from .rank import estimate_rank
-from .signs import assemble, reference_signs, resolve_signs
+from .signs import complete, reference_signs
 from .spectral import estimate_singular_triplets
 
 
@@ -113,8 +113,7 @@ def run_replicate(config, replicate_index):
     truth, obs = generate_instance(config, replicate_index)
     n, d, m = config.n, config.d, config.metrics_m
     est = estimate_singular_triplets(obs, config.true_rank)
-    signs, _ = resolve_signs(est, obs)
-    cm = assemble(est, signs)
+    cm = complete(obs, est)
     s0 = reference_signs(est, truth)
     # the variance functional vanishes only in the exact-recovery corner
     # (p=1, sigma=0), where the centered statistic is identically zero
@@ -129,7 +128,7 @@ def run_replicate(config, replicate_index):
         sin2_u=sin_theta_sq(est.U_hat[:, :m], truth.U[:, :m]),
         z_stat=z,
         r_hat=estimate_rank(est.right_ladder, est.p_hat, n, d, 1.0).r_hat,
-        sign_correct=bool(np.array_equal(signs, s0)),
+        sign_correct=bool(np.array_equal(cm.signs, s0)),
         n_clamped=est.n_clamped,
     )
 

@@ -1,11 +1,13 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from specmc import ObservedMatrix, estimate_singular_triplets
+from specmc import (ObservedMatrix, estimate_singular_triplets, load_triplets,
+                    resolve_signs_heuristic)
 from specmc.cli import main
 
 
@@ -184,11 +186,25 @@ class TestComplete:
         assert code == 1
         assert not out.exists() and not dense_out.exists()
 
-    def test_sign_method_flag(self, tmp_path):
-        code = _run(["complete", "--input", _rank1_file(tmp_path),
-                     "--rank", "1", "--sign-method", "heuristic",
-                     "--output", str(tmp_path / "cm.json")])
-        assert code == 0
+    def test_sign_rule_follows_the_rank(self, tmp_path):
+        # above SIGN_BUDGET = 12 factors the heuristic resolves the signs
+        path = _rank3_file(tmp_path)
+        out = tmp_path / "cm.json"
+        assert _run(["complete", "--input", path, "--rank", "13",
+                     "--output", str(out)]) == 0
+        assert '"sign_method":"heuristic"' in out.read_text()
+        obs = load_triplets(path)
+        expected = resolve_signs_heuristic(estimate_singular_triplets(obs, 13), obs)
+        assert json.loads(out.read_text())["signs"] == expected.tolist()
+        assert _run(["complete", "--input", path, "--rank", "2",
+                     "--output", str(out)]) == 0
+        assert '"sign_method":"exhaustive"' in out.read_text()
+
+    def test_sign_method_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            _run(["complete", "--input", _rank1_file(tmp_path), "--rank", "1",
+                  "--sign-method", "heuristic"])
+        assert err.value.code == 2
 
 
 class TestRankAndScree:
@@ -392,6 +408,18 @@ class TestEval:
         assert lines[0] == "train,test,rmse"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("name", ["a,b.tsv", 'a"b.tsv', "a\nb.tsv"])
+    def test_csv_quotes_paths(self, tmp_path, name):
+        a = _rank1_file(tmp_path, name)
+        out = tmp_path / "eval.csv"
+        code = _run(["eval", "--train", a, "--test", a, "--rank", "1",
+                     "--format", "csv", "--output", str(out)])
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["train"], row["test"]) for row in rows] == [(a, a)]
+        assert float(rows[0]["rmse"]) <= 1e-8
+
     def test_missing_inputs(self, tmp_path):
         assert _run(["eval", "--rank", "1"]) == 1
 
@@ -443,6 +471,14 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
         assert not out.exists()
+
+    def test_failed_replicate_is_one_error_line(self, tmp_path, capsys):
+        # seed 0 draws an empty mask at p = 0.001
+        code = _run(["simulate", "--n-list", "30", "--p-list", "0.001", "--reps", "1",
+                     "--output", str(tmp_path / "sims")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: replicate 0 failed: cannot estimate from an empty mask"]
 
     def test_grid_files(self, tmp_path):
         out = tmp_path / "sims"

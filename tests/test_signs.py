@@ -8,9 +8,9 @@ import scipy.sparse.linalg
 
 import specmc.spectral
 from specmc import signs
-from specmc import (ObservedMatrix, assemble, enumerate_sign_residuals,
+from specmc import (ObservedMatrix, assemble, complete, enumerate_sign_residuals,
                     estimate_singular_triplets, predict_entries, predict_entry,
-                    reference_signs, resolve_signs, resolve_signs_exhaustive,
+                    reference_signs, resolve_signs_exhaustive,
                     resolve_signs_heuristic)
 from specmc.simulate import SimConfig, generate_instance
 
@@ -137,13 +137,23 @@ class TestHeuristicOnWorkloads:
 
 
 class TestDispatchAndReference:
-    def test_auto_prefers_exhaustive(self, monkeypatch):
-        obs, est = _rank1_setup()
-        _, method = resolve_signs(est, obs, "auto")
-        assert method == "exhaustive"
+    def test_complete_picks_the_rule_by_rank(self, monkeypatch):
+        # 300 x 60 rank-3 product plus N(0, 1) noise at p = 0.5, estimated at
+        # rank 8, where the two rules disagree on a noise factor
+        rng = np.random.default_rng(20261018)
+        dense = (rng.uniform(-2.0, 2.0, (300, 3)) @ rng.uniform(-2.0, 2.0, (60, 3)).T
+                 + rng.normal(0.0, 1.0, (300, 60)))
+        obs = ObservedMatrix.from_mask(dense, rng.random(dense.shape) < 0.5)
+        est = estimate_singular_triplets(obs, 8)
+        exhaustive = resolve_signs_exhaustive(est, obs)
+        heuristic = resolve_signs_heuristic(est, obs)
+        assert not np.array_equal(exhaustive, heuristic)
+        cm = complete(obs, est)
+        assert cm.method == "exhaustive" and np.array_equal(cm.signs, exhaustive)
         monkeypatch.setattr(signs, "SIGN_BUDGET", 0)
-        _, method = resolve_signs(est, obs, "auto")
-        assert method == "heuristic"
+        cm = complete(obs, est)
+        assert cm.method == "heuristic" and np.array_equal(cm.signs, heuristic)
+        assert cm.to_dict()["sign_method"] == "heuristic"
 
     def test_reference_signs_flag_flips(self):
         config = SimConfig(n=60, d=16, p=1.0, sigma=0.0, replicates=1, seed=9)
