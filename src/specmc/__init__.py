@@ -11,7 +11,7 @@ from .gram import (bias_adjust, expected_gram_left, expected_gram_right,
                    gram_left, gram_right, observed_fraction)
 from .inference import (InferenceReport, build_report, confidence_intervals,
                         estimate_noise_variance, singular_value_covariance,
-                        squared_sv_sum_variance, squared_sv_sum_variance_plugin)
+                        squared_sv_sum_variance)
 from .io import (IoOptions, dumps_csv, dumps_json, load_dense, load_triplets,
                  write_report, write_triplets)
 from .metrics import (MetricRow, frobenius_mse, rmse_on_omega, sign_align,

@@ -252,16 +252,17 @@ def cmd_eval(args):
 
 
 def cmd_simulate(args):
-    # every grid cell's settings are checked before the directory is made
+    # every grid cell's settings are checked before the first cell runs
     grid = [(n, p) for n in args.n_list for p in args.p_list]
     configs = [SimConfig(n=n, p=p, sigma=args.sigma, replicates=args.reps,
                          seed=args.seed + cell, true_rank=args.true_rank,
                          factor_range=args.factor_range)
                for cell, (n, p) in enumerate(grid)]
     check_workers(args.workers)
-    os.makedirs(args.output, exist_ok=True)
     for config in configs:
         result = run_replicates(config, workers=args.workers)
+        # made once a grid cell has a result, so a failed first cell leaves none
+        os.makedirs(args.output, exist_ok=True)
         base = os.path.join(args.output, f"sim_n{config.n}_p{config.p:g}")
         write_report(result.to_rows(), base + ".csv", "csv")
         write_report(result.aggregate_rows(), base + ".aggregates.csv", "csv")

@@ -1,17 +1,17 @@
 """Plug-in asymptotic variances and confidence intervals for singular values.
 
-The covariance of the estimated singular values and the variance of their
-summed squares ("energy") are closed-form functionals of the unknown matrix,
-its factors, the observation probability and the noise variance; here each
-unknown is replaced by its estimate (completed matrix, estimated factors,
-observed fraction, noise floor over n * p_hat^2).
+The covariance C of the estimated singular values is a closed-form functional
+of the unknown matrix, its factors, the observation probability and the noise
+variance, each replaced here by its estimate (completed matrix, estimated
+factors, observed fraction, noise floor over n * p_hat^2). The variance of the
+summed squares of the top m ("energy") follows by the delta method as
+4 b_m^T C_mm b_m with b = lambda / sqrt(nd), so a report's two variances agree.
 
-Both functionals read the same all-cells sums
-S_ij = sum_{k,h} M_kh^2 U_ki V_hi U_kj V_hj of the factor-form matrix
-M = U diag(c) V^T. Expanding M_kh^2 separates the row and column indices, so
-S comes from the gram matrices of the row-wise Kronecker squares of U and V
-in O((n + d) r^4) time and O((n + d) r^2) memory; the n x d matrix is never
-formed.
+C reads the all-cells sums S_ij = sum_{k,h} M_kh^2 U_ki V_hi U_kj V_hj of the
+factor-form matrix M = U diag(c) V^T. Expanding M_kh^2 separates the row and
+column indices, so S comes from the gram matrices of the row-wise Kronecker
+squares of U and V in O((n + d) r^4) time and O((n + d) r^2) memory; the
+n x d matrix is never formed.
 """
 
 import warnings
@@ -61,6 +61,23 @@ def pair_m2_sums(U, V, coef):
     return (np.outer(coef, coef).ravel() @ (crossprod(A) * crossprod(B))).reshape(r, r)
 
 
+def _covariance(S, b, p, noise_var):
+    """The closed form of singular_value_covariance, given the pair sums S."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    cov = (1.0 - p) / p * (S - np.outer(b, b))
+    cov[np.diag_indices_from(cov)] += noise_var / p
+    return (cov + cov.T) / 2.0
+
+
+def _energy(cov, b, m):
+    """Delta-method variance of sum_{i<=m} b_i^2: 4 b_m^T cov_mm b_m."""
+    if not (1 <= m <= b.size):
+        raise ValueError(f"m must be in [1, {b.size}], got {m}")
+    bm = b[:m]
+    return 4.0 * float(bm @ cov[:m, :m] @ bm)
+
+
 def singular_value_covariance(cm, noise_var):
     """Plug-in covariance of the estimated singular values, (r, r) symmetric.
 
@@ -68,46 +85,24 @@ def singular_value_covariance(cm, noise_var):
         ((1-p)/p) * (sum_{k,h} Mhat_kh^2 U_ki V_hi U_kj V_hj - b_i b_j)
     with noise_var/p added on the diagonal, where b = lambda_hat/sqrt(nd).
     The double sum over all n*d cells is pair_m2_sums of the completed
-    matrix's factor form (cm.pair_sums(), computed once per cm).
+    matrix's factor form.
     """
     est = cm.estimate
-    p = est.p_hat
-    if p <= 0:
-        raise ValueError("p_hat must be positive")
-    b = est.signal_scales()
-    cov = (1.0 - p) / p * (cm.pair_sums() - np.outer(b, b))
-    cov[np.diag_indices_from(cov)] += noise_var / p
-    return (cov + cov.T) / 2.0
+    S = pair_m2_sums(est.U_hat, est.V_hat, cm.coef())
+    return _covariance(S, est.signal_scales(), est.p_hat, noise_var)
 
 
 def squared_sv_sum_variance(U, V, b, coef, p, noise_var, m):
     """Asymptotic variance of the normalized sum of the m largest squared
     singular values, for a matrix given in factor form (U * coef) V^T.
 
+    4 b_m^T C_mm b_m with C the singular-value covariance at (U, V, coef),
+    which expands to
     4(1-p)/p * { sum_{k,h} M_kh^2 (sum_{i<=m} b_i U_ki V_hi)^2 - (sum_{i<=m} b_i^2)^2 }
       + 4 noise_var / p * sum_{i<=m} b_i^2
     """
-    return _energy_variance(pair_m2_sums(U, V, coef), b, p, noise_var, m)
-
-
-def _energy_variance(S, b, p, noise_var, m):
-    # squared_sv_sum_variance given the pair sums S
     b = np.asarray(b, dtype=np.float64).ravel()
-    if not (1 <= m <= b.size):
-        raise ValueError(f"m must be in [1, {b.size}], got {m}")
-    if p <= 0:
-        raise ValueError("p must be positive")
-    bm = b[:m]
-    b2 = float(bm @ bm)
-    brace = float(bm @ S[:m, :m] @ bm) - b2**2
-    return 4.0 * (1.0 - p) / p * brace + 4.0 * noise_var / p * b2
-
-
-def squared_sv_sum_variance_plugin(cm, noise_var, m):
-    """Plug-in version built from a completed matrix (reads cm.pair_sums())."""
-    est = cm.estimate
-    return _energy_variance(cm.pair_sums(), est.signal_scales(), est.p_hat,
-                            noise_var, m)
+    return _energy(_covariance(pair_m2_sums(U, V, coef), b, p, noise_var), b, m)
 
 
 def check_alpha(alpha):
@@ -127,7 +122,7 @@ def confidence_intervals(est, covariance, alpha):
 
 def build_report(cm, alpha=0.05):
     """Full inference report for a completed matrix; its energy variance
-    sums all est.rank values (squared_sv_sum_variance_plugin takes any m)."""
+    sums all est.rank squared values and is read off the covariance."""
     est = cm.estimate
     n, d = est.shape
     if est.p_hat * n / d < 10:
@@ -145,7 +140,7 @@ def build_report(cm, alpha=0.05):
         signal_scales=est.signal_scales(),
         covariance=cov,
         variances_clamped=np.clip(np.diag(cov), 0.0, None),
-        energy_variance=float(squared_sv_sum_variance_plugin(cm, noise_var, est.rank)),
+        energy_variance=_energy(cov, est.signal_scales(), est.rank),
         m=est.rank,
         intervals=confidence_intervals(est, cov, alpha),
         alpha=float(alpha),

@@ -14,7 +14,6 @@ always produce identical bytes.
 import sys
 import warnings
 from dataclasses import dataclass, is_dataclass
-from io import StringIO
 from math import isfinite
 
 import numpy as np
@@ -204,25 +203,28 @@ def dumps_json(obj):
 
 def _csv_cell(x):
     if isinstance(x, (float, np.floating)):
-        return _fmt(x)
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    return str(x)
+        text = _fmt(x)
+    elif isinstance(x, (bool, np.bool_)):
+        text = "true" if x else "false"
+    else:
+        text = str(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def dumps_csv(rows):
-    """CSV with header from the first row's keys (insertion order); a cell
-    holding a comma, a quote or a newline is quoted."""
-    import csv  # loaded only when a CSV is written
+    """CSV with header from the first row's keys (insertion order), one line
+    per row; a cell holding a comma, a quote, a carriage return or a line
+    feed is quoted, its quotes doubled, so csv.reader reads the row back
+    whole. (csv.writer with a "\\n" terminator leaves a carriage return
+    unquoted on Python 3.11.)"""
     rows = list(rows)
     if not rows:
         return ""
     header = list(rows[0].keys())
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_csv_cell(row[k]) for k in header] for row in rows)
-    return buf.getvalue()
+    lines = [header] + [[row[k] for k in header] for row in rows]
+    return "".join(",".join(map(_csv_cell, line)) + "\n" for line in lines)
 
 
 def write_report(report, path, format="json"):

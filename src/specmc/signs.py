@@ -15,12 +15,11 @@ after which all 2^r candidates cost O(2^r r^2). The heuristic reads only
 P^T y, at O(nnz r), and solves no eigenproblem.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ObservedMatrix, index_array
-from .inference import pair_m2_sums
 from .spectral import SpectralEstimate
 
 SIGN_BUDGET = 12
@@ -32,8 +31,6 @@ class CompletedMatrix:
 
     estimate: SpectralEstimate
     signs: np.ndarray
-    _sums: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=np.float64).ravel()
@@ -55,19 +52,6 @@ class CompletedMatrix:
     def coef(self):
         """Signed singular values; the factor-form coefficients."""
         return self.signs * self.estimate.lambda_hat
-
-    def pair_sums(self):
-        """inference.pair_m2_sums of the factor form, read-only.
-
-        Both plug-in variances read it; it is computed on the first call and
-        then kept, the one attribute set after construction.
-        """
-        if self._sums is None:
-            est = self.estimate
-            sums = pair_m2_sums(est.U_hat, est.V_hat, self.coef())
-            sums.setflags(write=False)
-            object.__setattr__(self, "_sums", sums)
-        return self._sums
 
     def dense(self):
         return (self.estimate.U_hat * self.coef()) @ self.estimate.V_hat.T

@@ -408,7 +408,7 @@ class TestEval:
         assert lines[0] == "train,test,rmse"
         assert len(lines) == 2
 
-    @pytest.mark.parametrize("name", ["a,b.tsv", 'a"b.tsv', "a\nb.tsv"])
+    @pytest.mark.parametrize("name", ["a,b.tsv", 'a"b.tsv', "a\nb.tsv", "a\rb.tsv"])
     def test_csv_quotes_paths(self, tmp_path, name):
         a = _rank1_file(tmp_path, name)
         out = tmp_path / "eval.csv"
@@ -474,11 +474,13 @@ class TestSimulate:
 
     def test_failed_replicate_is_one_error_line(self, tmp_path, capsys):
         # seed 0 draws an empty mask at p = 0.001
+        out = tmp_path / "sims"
         code = _run(["simulate", "--n-list", "30", "--p-list", "0.001", "--reps", "1",
-                     "--output", str(tmp_path / "sims")])
+                     "--output", str(out)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: replicate 0 failed: cannot estimate from an empty mask"]
+        assert not out.exists()
 
     def test_grid_files(self, tmp_path):
         out = tmp_path / "sims"

@@ -3,8 +3,8 @@
 The sign scan evaluates every candidate's observed-cell residual from
 P^T y and P^T P, and the heuristic takes the sign of P^T y alone; the
 inference sums S come from the gram matrices of the row-wise Kronecker
-squares of the factors. All are checked here against direct evaluation
-over the cells.
+squares of the factors, and the energy variance from the covariance they
+give. All are checked here against direct evaluation over the cells.
 """
 
 import dataclasses
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specmc import (ObservedMatrix, assemble, enumerate_sign_residuals,
-                    estimate_singular_triplets, resolve_signs_exhaustive,
-                    resolve_signs_heuristic)
+from specmc import (GroundTruth, ObservedMatrix, assemble,
+                    enumerate_sign_residuals, estimate_singular_triplets,
+                    resolve_signs_exhaustive, resolve_signs_heuristic,
+                    squared_sv_sum_variance)
 from specmc.inference import pair_m2_sums
 from specmc.gram import crossprod
 from specmc.signs import sign_candidates
@@ -71,6 +72,18 @@ def _brute_pair_sums(U, V, coef):
     """Explicit double sum over every cell of the dense (U c) V^T."""
     M = (U * coef) @ V.T
     return np.einsum("kh,ki,hi,kj,hj->ij", M**2, U, V, U, V)
+
+
+def _brute_energy_variance(U, V, b, coef, p, noise_var, m):
+    """4(1-p)/p {sum_kh M_kh^2 (sum_{i<=m} b_i U_ki V_hi)^2 - (sum_{i<=m} b_i^2)^2}
+    + 4 noise_var/p sum_{i<=m} b_i^2, one cell at a time."""
+    M = (U * coef) @ V.T
+    acc = 0.0
+    for k in range(M.shape[0]):
+        for h in range(M.shape[1]):
+            acc += M[k, h] ** 2 * sum(b[i] * U[k, i] * V[h, i] for i in range(m)) ** 2
+    b2 = sum(b[i] ** 2 for i in range(m))
+    return 4 * (1 - p) / p * (acc - b2**2) + 4 * noise_var / p * b2
 
 
 def _random_problem(rng, n, d, r, frac):
@@ -212,6 +225,18 @@ class TestPairSums:
         ref = _brute_pair_sums(U, V, coef)
         assert S.shape == (r, r)
         assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestEnergyVariance:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_top_m_matches_brute_force(self, m):
+        rng = np.random.default_rng(31)
+        truth = GroundTruth.from_factors(rng.uniform(-2, 2, (14, 3)),
+                                         rng.uniform(-2, 2, (9, 3)), 1.2, 0.6)
+        args = (truth.U, truth.V, truth.signal_scales(), truth.lambdas, 0.6, 1.2**2, m)
+        got = squared_sv_sum_variance(*args)
+        ref = _brute_energy_variance(*args)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

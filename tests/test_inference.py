@@ -9,20 +9,19 @@ from scipy import integrate, optimize
 from specmc import (GroundTruth, ObservedMatrix, assemble, build_report,
                     confidence_intervals, estimate_noise_variance,
                     estimate_singular_triplets, resolve_signs_exhaustive,
-                    singular_value_covariance, squared_sv_sum_variance,
-                    squared_sv_sum_variance_plugin)
-from specmc import signs
+                    singular_value_covariance, squared_sv_sum_variance)
+from specmc import inference
 from specmc.inference import pair_m2_sums
 from specmc.spectral import EigenLadder, SpectralEstimate
 
 
-def _plugin_cm(truth, p_hat, signs=None):
+def _plugin_cm(truth, p_hat, signs=None, tau_hat=0.0):
     """Completed matrix whose plug-ins are the exact truth factors."""
     r = truth.rank
     n, d = truth.shape
     est = SpectralEstimate(
         U_hat=truth.U.copy(), V_hat=truth.V.copy(),
-        lambda_hat=truth.lambdas.copy(), p_hat=p_hat, tau_hat=0.0, rank=r,
+        lambda_hat=truth.lambdas.copy(), p_hat=p_hat, tau_hat=tau_hat, rank=r,
         left_ladder=EigenLadder(np.zeros(n), np.eye(n, r), 0.0),
     )
     return assemble(est, np.ones(r) if signs is None else signs)
@@ -116,24 +115,32 @@ class TestCovariance:
         assert np.all(np.diag(ups) >= floor - 1e-10)
 
 
+def _report_energy(truth, p_hat, noise_var):
+    """build_report's energy variance on the truth plug-ins, with tau_hat set
+    so that the report's noise variance is noise_var; at rank 1, m = 1."""
+    n = truth.shape[0]
+    cm = _plugin_cm(truth, p_hat, tau_hat=n * p_hat**2 * noise_var)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # these shapes sit below p_hat*n/d = 10
+        return build_report(cm).energy_variance
+
+
 class TestEnergyVariance:
     def test_full_observation_closed_form(self):
         truth = _rank1_truth(p=1.0, sigma=1.5)
-        cm = _plugin_cm(truth, p_hat=1.0)
-        got = squared_sv_sum_variance_plugin(cm, noise_var=1.5**2, m=1)
+        got = _report_energy(truth, p_hat=1.0, noise_var=1.5**2)
         b2 = float(truth.signal_scales()[0] ** 2)
         assert abs(got - 4 * 1.5**2 * b2) <= 1e-12 * max(1, b2)
 
     def test_zero_noise_full_observation(self):
         truth = _rank1_truth(p=1.0, sigma=0.0)
-        cm = _plugin_cm(truth, p_hat=1.0)
-        assert squared_sv_sum_variance_plugin(cm, 0.0, 1) == 0.0
+        assert _report_energy(truth, p_hat=1.0, noise_var=0.0) == 0.0
 
     def test_rank_one_matches_brute_force(self):
         truth = _rank1_truth()
         cm = _plugin_cm(truth, p_hat=0.5)
         sigma2 = 1.3
-        got = squared_sv_sum_variance_plugin(cm, sigma2, 1)
+        got = _report_energy(truth, 0.5, sigma2)
         n, d = truth.shape
         b = float(truth.signal_scales()[0])
         Mhat = cm.dense()
@@ -146,9 +153,9 @@ class TestEnergyVariance:
 
     def test_m_out_of_range(self):
         truth = _rank1_truth()
-        cm = _plugin_cm(truth, 0.5)
-        with pytest.raises(ValueError):
-            squared_sv_sum_variance_plugin(cm, 1.0, 2)
+        with pytest.raises(ValueError, match="m must be in"):
+            squared_sv_sum_variance(truth.U, truth.V, truth.signal_scales(),
+                                    truth.lambdas, 0.5, 1.0, 2)
 
     def test_independent_of_plugin_matrix_at_full_observation(self):
         rng = np.random.default_rng(5)
@@ -252,7 +259,7 @@ class TestBuildReport:
             est = estimate_singular_triplets(obs, r)
             cm = assemble(est, resolve_signs_exhaustive(est, obs))
             calls = []
-            monkeypatch.setattr(signs, "pair_m2_sums",
+            monkeypatch.setattr(inference, "pair_m2_sums",
                                 lambda *a: calls.append(1) or pair_m2_sums(*a))
             report = build_report(cm)
         assert len(calls) == 1
