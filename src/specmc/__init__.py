@@ -8,7 +8,7 @@ replicated simulation harness.
 
 from .data import GroundTruth, ObservedMatrix
 from .gram import (bias_adjust, expected_gram_left, expected_gram_right,
-                   gram_left, gram_right, observed_fraction)
+                   gram_right, observed_fraction)
 from .inference import (InferenceReport, build_report, confidence_intervals,
                         estimate_noise_variance, singular_value_covariance,
                         squared_sv_sum_variance)

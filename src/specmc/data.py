@@ -1,6 +1,6 @@
 """Core containers: sparse observed matrices and synthetic ground truth."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ObservedMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if check_int(self.n_rows, "n_rows") < 0 or check_int(self.n_cols, "n_cols") < 0:
@@ -106,19 +105,10 @@ class ObservedMatrix:
         return ObservedMatrix(self.n_cols, self.n_rows, self.cols, self.rows, self.vals)
 
     def to_dense(self):
-        """Zero-imputed dense realization, read-only.
-
-        Built on the first call and kept, so the n x d floats live as long
-        as the instance: the estimator's one-block dense path reads it for
-        both its right gram and its left Lanczos.
-        """
-        if self._dense is None:
-            out = np.zeros((self.n_rows, self.n_cols))
-            out[self.rows, self.cols] = self.vals
-            out.setflags(write=False)
-            # the cache is the one attribute set after construction
-            object.__setattr__(self, "_dense", out)
-        return self._dense
+        """Zero-imputed dense realization, a fresh n x d array on each call."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self.rows, self.cols] = self.vals
+        return out
 
     def to_csr(self):
         """Zero-imputed realization as a scipy.sparse CSR array."""

@@ -12,7 +12,7 @@ import numpy as np
 
 # cells in one zero-imputed block of gram_right (d rows where d^2 is more),
 # so a matrix of at most this many cells is one BLAS call; the estimator
-# also holds such a matrix densely for its left Lanczos
+# holds such a matrix densely instead (spectral.estimate_singular_triplets)
 _BLOCK_CELLS = 1 << 16
 
 
@@ -44,22 +44,18 @@ def gram_right(obs):
     """M^T M of the zero-imputed matrix, (d, d), exactly symmetric.
 
     Each block Z of zero-imputed rows adds Z^T Z (a BLAS syrk). A block has
-    max(d, _BLOCK_CELLS // d) rows, so memory is O(d^2 + _BLOCK_CELLS). A
-    matrix of at most _BLOCK_CELLS cells is one block: `obs.to_dense()`,
-    which obs keeps for the estimator's left Lanczos.
+    max(d, _BLOCK_CELLS // d) rows, so memory is O(d^2 + _BLOCK_CELLS), and
+    a matrix of at most _BLOCK_CELLS cells is one block. A matrix with no
+    rows is one empty block, whose product is the (d, d) zero gram.
     The O(n d^2) flops do not shrink with sparsity, so wide, very sparse
     input is slow here. The estimator forms it only where it is small next
     to the data (spectral._DENSE_RIGHT); elsewhere only requests that read
     the full right spectrum (rank selection, the scree) form it.
     """
     n, d = obs.shape
-    if n * d <= _BLOCK_CELLS:
-        # the kept dense matrix, which the estimator's left Lanczos reads too
-        z = obs.to_dense()
-        return z.T @ z
     ptr = obs.row_ptr()
-    block = max(d, _BLOCK_CELLS // d)  # d >= 1: n * d > _BLOCK_CELLS
-    for lo in range(0, n, block):
+    block = max(d, _BLOCK_CELLS // max(d, 1))
+    for lo in range(0, max(n, 1), block):
         hi = min(lo + block, n)
         a, b = ptr[lo], ptr[hi]
         z = np.zeros((hi - lo, d))
@@ -69,15 +65,6 @@ def gram_right(obs):
         else:
             g += z.T @ z
     return g
-
-
-def gram_left(obs):
-    """M M^T of the zero-imputed matrix, (n, n), exactly symmetric.
-
-    The estimator never forms it (see spectral.top_gram_eigenpairs); it is
-    the dense reference that tests compare against.
-    """
-    return gram_right(obs.transpose())
 
 
 def bias_adjust(gram, p_hat):
@@ -99,7 +86,7 @@ def expected_gram_right(truth):
 
 
 def expected_gram_left(truth):
-    """Exact mean of gram_left under the Bernoulli/noise model (oracle)."""
+    """Exact mean of M M^T under the Bernoulli/noise model (oracle)."""
     G = truth.M0 @ truth.M0.T
     n, d = truth.shape
     p, s2 = truth.p, truth.sigma**2

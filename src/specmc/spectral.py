@@ -15,9 +15,10 @@ side takes one of two paths, chosen from the input's shape and density:
   it is formed once and diagonalised by LAPACK: its whole value ladder,
   which serves the noise floor, rank selection and
   `SpectralEstimate.right_ladder`, and its top-r vectors. Where the whole
-  matrix is also one gram block, n * d <= gram._BLOCK_CELLS, the left
-  Lanczos runs on the zero-imputed dense matrix, whose two products are
-  cheaper there than sparse ones, and no CSR copy is built;
+  matrix is also one gram block, n * d <= gram._BLOCK_CELLS, it is
+  zero-imputed once into a dense array: the right gram is that array's
+  X^T X, the left Lanczos runs on it (its two products are cheaper there
+  than sparse ones), and no CSR copy is built;
 - elsewhere the top-r eigenpairs come from Lanczos as on the left, the noise
   floor uses the trace shortcut, and the d x d gram is formed (by
   `right_ladder`) only where its whole ladder is read: rank selection, the
@@ -90,9 +91,10 @@ class SpectralEstimate:
 
     `left_ladder` holds the top `rank` eigenpairs of the debiased left gram.
     `right_ladder` is the full descending spectrum of the debiased right gram
-    with V_hat as its vectors. The estimator keeps it when it formed the
-    d x d gram anyway (the dense right path, rank="auto"); otherwise it is
-    computed from `obs` the first time it is read and then kept.
+    with V_hat as its vectors. The estimator passes it as `_right` when it
+    formed the d x d gram anyway (the dense right path, rank="auto");
+    otherwise it is computed from `obs` on each read. Nothing is set after
+    construction.
     """
 
     U_hat: np.ndarray
@@ -104,8 +106,7 @@ class SpectralEstimate:
     left_ladder: EigenLadder
     n_clamped: int = 0
     obs: ObservedMatrix | None = field(default=None, repr=False, compare=False)
-    _right: EigenLadder | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _right: EigenLadder | None = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -114,16 +115,12 @@ class SpectralEstimate:
     @property
     def right_ladder(self):
         """Full spectrum of the debiased right gram, with V_hat as its vectors."""
-        if self._right is None:
-            if self.obs is None:
-                raise ValueError("right_ladder needs the observations (obs)")
-            self._keep_right(right_ladder(self.obs))
-        return self._right
-
-    def _keep_right(self, spectrum):
-        # the cache is the one attribute set after construction
-        object.__setattr__(self, "_right", EigenLadder(
-            spectrum.values, self.V_hat, spectrum.full_trace))
+        if self._right is not None:
+            return self._right
+        if self.obs is None:
+            raise ValueError("right_ladder needs the observations (obs)")
+        spectrum = right_ladder(self.obs)
+        return EigenLadder(spectrum.values, self.V_hat, spectrum.full_trace)
 
     def signal_scales(self):
         """Estimated singular values normalized by sqrt(n*d)."""
@@ -350,8 +347,9 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     ladder (`sym_eig_desc(., 0)`, the same bytes as `right_ladder(obs)`)
     gives the noise floor and the singular values and is kept as
     `SpectralEstimate.right_ladder`, and LAPACK gives its top-`rank`
-    vectors; if n * d <= _BLOCK_CELLS too, the gram and the left Lanczos
-    both read the one kept `obs.to_dense()`, and no CSR copy is built.
+    vectors; if n * d <= _BLOCK_CELLS too, the data is zero-imputed once
+    (`obs.to_dense()`), the gram and the left Lanczos both read that array,
+    and no CSR copy is built.
     Elsewhere the right side is a Lanczos solve too, the noise floor uses
     the trace shortcut, and the full right ladder is computed only when
     read. Memory is O(nnz + (n + d) * rank) either way.
@@ -369,9 +367,13 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
         raise ValueError("cannot estimate from an empty mask")
     p_hat = observed_fraction(obs)
     dense_right = n * d * d <= _DENSE_RIGHT * obs.nnz
+    # one gram block is small enough to hold densely, and there the dense
+    # products of the left Lanczos beat sparse ones
+    one_block = dense_right and n * d <= _BLOCK_CELLS
+    X = obs.to_dense() if one_block else obs.to_csr()
     spectrum = None
     if dense_right:
-        gram = bias_adjust(gram_right(obs), p_hat)
+        gram = bias_adjust(X.T @ X if one_block else gram_right(obs), p_hat)
         spectrum = sym_eig_desc(gram, 0)
     elif rank == "auto":
         spectrum = right_ladder(obs)
@@ -380,11 +382,6 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
         if not (1 <= rank < min(n, d)):
             raise ValueError(f"automatic rank selection gave r_hat={rank}; "
                              "pass an explicit rank")
-    # one gram block is small enough to hold densely, and there the dense
-    # products of the left Lanczos beat sparse ones; gram_right has already
-    # zero-imputed it, and to_dense returns that copy
-    X = (obs.to_dense() if dense_right and n * d <= _BLOCK_CELLS
-         else obs.to_csr())
     if dense_right:
         right = EigenLadder(spectrum.values, _top_dense_eigvecs(gram, rank),
                             spectrum.full_trace)
@@ -394,7 +391,7 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
     tau_hat = trailing_eig_mean(right, rank)
     lambda_hat, n_clamped = singular_values_from_eigs(right.values[:rank],
                                                       tau_hat, p_hat)
-    est = SpectralEstimate(
+    return SpectralEstimate(
         U_hat=left.vectors,
         V_hat=right.vectors,
         lambda_hat=lambda_hat,
@@ -404,7 +401,6 @@ def estimate_singular_triplets(obs: ObservedMatrix, rank: int | str,
         left_ladder=left,
         n_clamped=n_clamped,
         obs=obs,
+        _right=None if spectrum is None else EigenLadder(
+            spectrum.values, right.vectors, spectrum.full_trace),
     )
-    if spectrum is not None:
-        est._keep_right(spectrum)
-    return est

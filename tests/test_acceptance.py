@@ -24,8 +24,8 @@ from scipy import stats
 from specmc import (GroundTruth, ObservedMatrix, SimConfig, assemble,
                     confidence_intervals, estimate_noise_variance,
                     estimate_singular_triplets, expected_gram_left,
-                    expected_gram_right, generate_instance, gram_left,
-                    gram_right, observed_fraction, reference_signs,
+                    expected_gram_right, generate_instance, gram_right,
+                    observed_fraction, reference_signs,
                     resolve_signs_exhaustive, resolve_signs_heuristic,
                     rmse_on_omega, run_replicates, sin_theta_sq,
                     singular_value_covariance, standardized_sv_stat)
@@ -98,7 +98,7 @@ def test_c2_expected_gram_oracle():
     for i in range(n_draws):
         obs = ObservedMatrix.from_mask(truth.M0 + noise[i], masks[i])
         gr = gram_right(obs)
-        gl = gram_left(obs)
+        gl = gram_right(obs.transpose())
         sum_r += gr; sq_r += gr * gr
         sum_l += gl; sq_l += gl * gl
     elapsed = time.perf_counter() - start

@@ -272,6 +272,17 @@ class TestRankAndScree:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["index"] == 1
 
+    @pytest.mark.parametrize("command", ["rank", "scree"])
+    def test_empty_file_is_one_error_line(self, tmp_path, capsys, command):
+        # a 0 x 5 matrix: the ladder's gram is empty, the observed fraction fails
+        path = tmp_path / "empty.tsv"
+        path.write_text("")
+        code = _run([command, "--input", str(path), "--cols", "5", "--output", "-"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: zero-size matrix has no observed fraction"]
+
 
 class TestSettingsCheckedFirst:
     """--cd-const and --alpha are checked before the input is read."""

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from specmc import (GroundTruth, ObservedMatrix, bias_adjust,
-                    expected_gram_left, expected_gram_right, gram_left,
-                    gram_right, observed_fraction)
+                    expected_gram_left, expected_gram_right, gram_right,
+                    observed_fraction)
 from specmc.gram import _BLOCK_CELLS, crossprod
 
 
@@ -49,17 +49,23 @@ class TestGram:
         assert gram_right(_full([[1, 2], [3, 4]])).tolist() == [[10, 14], [14, 20]]
 
     def test_left_hand_product(self):
-        assert gram_left(_full([[1, 2], [3, 4]])).tolist() == [[5, 11], [11, 25]]
+        assert gram_right(_full([[1, 2], [3, 4]]).transpose()).tolist() == [[5, 11], [11, 25]]
 
     def test_single_entry(self):
         obs = ObservedMatrix(1, 2, [0], [1], [2.0])
         assert gram_right(obs).tolist() == [[0, 0], [0, 4]]
-        assert gram_left(obs).tolist() == [[4.0]]
+        assert gram_right(obs.transpose()).tolist() == [[4.0]]
 
     def test_empty_mask(self):
         obs = ObservedMatrix(3, 2, [], [], [])
         assert not gram_right(obs).any()
-        assert not gram_left(obs).any()
+        assert not gram_right(obs.transpose()).any()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size(self, shape):
+        # one empty block: the (d, d) zero gram, as for an all-missing matrix
+        g = gram_right(ObservedMatrix(*shape, [], [], []))
+        assert g.shape == (shape[1], shape[1]) and not g.any()
 
     def test_matches_dense_products(self):
         rng = np.random.default_rng(7)
@@ -78,7 +84,7 @@ class TestGram:
         for mask in masks:
             obs = ObservedMatrix.from_mask(rng.normal(size=mask.shape), mask)
             M = obs.to_dense()
-            for got, ref in ((gram_right(obs), M.T @ M), (gram_left(obs), M @ M.T)):
+            for got, ref in ((gram_right(obs), M.T @ M), (gram_right(obs.transpose()), M @ M.T)):
                 assert np.array_equal(got, got.T)
                 assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -178,7 +184,7 @@ def draws():
     for i in range(N_DRAWS):
         obs = _draw(truth, rng)
         right[i] = gram_right(obs)
-        left[i] = gram_left(obs)
+        left[i] = gram_right(obs.transpose())
     return truth, right, left
 
 

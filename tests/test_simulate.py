@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from specmc import (SIGN_BUDGET, GroundTruth, ObservedMatrix, SimConfig,
-                    default_dim, generate_instance, gram_right, run_replicate,
-                    run_replicates)
+                    default_dim, generate_instance, run_replicate, run_replicates)
 from specmc import spectral
 from specmc.io import dumps_csv
 from specmc.simulate import _stream
@@ -245,21 +244,23 @@ class TestRunReplicates:
 
     def test_sim_shape_forms_right_gram_once(self, monkeypatch):
         # n * d^2 <= _DENSE_RIGHT * nnz: one dense right eigensystem serves
-        # V_hat, lambda_hat, tau_hat and r_hat, on scipy's LAPACK
-        calls = []
-
-        def counted(obs):
-            calls.append(obs.shape)
-            return gram_right(obs)
+        # V_hat, lambda_hat, tau_hat and r_hat, on scipy's LAPACK, and the
+        # one-block matrix is zero-imputed once
+        imputed, ladders = [], []
+        to_dense, eig = ObservedMatrix.to_dense, spectral.sym_eig_desc
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigh called")
 
         config = SimConfig(n=1000, d=63, p=0.5, sigma=1.0, replicates=1, seed=9)
-        monkeypatch.setattr(spectral, "gram_right", counted)
+        monkeypatch.setattr(ObservedMatrix, "to_dense",
+                            lambda self: imputed.append(self.shape) or to_dense(self))
+        monkeypatch.setattr(spectral, "sym_eig_desc",
+                            lambda S, k=None: ladders.append((S.shape, k)) or eig(S, k))
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         row = run_replicate(config, 0)
-        assert calls == [(1000, 63)]
+        assert imputed == [(1000, 63)]
+        assert ladders == [((63, 63), 0)]
         assert row.r_hat == 2 and row.sign_correct
 
     def test_rank_above_sign_budget_runs(self):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust, complete,
-                    estimate_singular_triplets, generate_instance, gram_left,
-                    gram_right, observed_fraction, resolve_signs_heuristic,
-                    right_ladder, sin_theta_sq, singular_values_from_eigs,
-                    sym_eig_desc, top_gram_eigenpairs, trailing_eig_mean)
+from specmc import (ClampWarning, ObservedMatrix, SimConfig, bias_adjust,
+                    build_report, complete, estimate_singular_triplets,
+                    generate_instance, gram_right, observed_fraction,
+                    resolve_signs_heuristic, right_ladder, sin_theta_sq,
+                    singular_values_from_eigs, sym_eig_desc,
+                    top_gram_eigenpairs, trailing_eig_mean)
 from specmc import spectral
 from specmc.gram import _BLOCK_CELLS
 from specmc.spectral import _DENSE_RIGHT, EigenLadder, _canonical_signs
@@ -288,7 +289,7 @@ class TestTopGramEigenpairs:
     def test_left_debiased_matches_dense(self, seed, n, d, p):
         obs = _sparse_case(seed, n, d, p)
         p_hat = observed_fraction(obs)
-        dense = sym_eig_desc(bias_adjust(gram_left(obs), p_hat))
+        dense = sym_eig_desc(bias_adjust(gram_right(obs.transpose()), p_hat))
         for k in range(1, min(n, d)):
             self._assert_matches(top_gram_eigenpairs(obs.to_csr(), k, p_hat), dense)
 
@@ -317,7 +318,7 @@ class TestTopGramEigenpairs:
         u = np.array([1.0, 2.0, -1.0, -2.0])
         obs = _full(np.outer(u, [3.0, 1.0]))
         top = top_gram_eigenpairs(obs.to_csr(), 1, 1.0)
-        self._assert_matches(top, sym_eig_desc(gram_left(obs)))
+        self._assert_matches(top, sym_eig_desc(gram_right(obs.transpose())))
         assert np.abs(top.vectors[:, 0] - u / np.sqrt(10.0)).max() <= 1e-12
         assert abs(top.values[0] - 100.0) <= 1e-12 * 100.0
 
@@ -441,11 +442,14 @@ class TestMatrixFreeRight:
             return gram_right(o)
 
         monkeypatch.setattr(spectral, "gram_right", counted)
+        # one block is zero-imputed and its gram formed inline, without gram_right
+        one_block = dense and obs.n_rows * obs.n_cols <= _BLOCK_CELLS
         estimate_singular_triplets(obs, case[-1])
-        assert len(calls) == int(dense)
+        assert len(calls) == int(dense and not one_block)
         calls.clear()
         estimate_singular_triplets(obs, "auto")
-        assert calls == [obs.shape]  # one gram: r_hat's, and V_hat's on the dense path
+        # one gram: r_hat's, and V_hat's on the dense path
+        assert calls == ([] if one_block else [obs.shape])
 
     @pytest.mark.parametrize("seed,n,d,p,rank", _RIGHT_CASES + _SIDE_CASES)
     def test_matches_dense_reference(self, seed, n, d, p, rank):
@@ -465,7 +469,10 @@ class TestMatrixFreeRight:
         ladder = est.right_ladder
         assert ladder.is_full and ladder.dim == d
         assert ladder.values.tobytes() == right_ladder(obs).values.tobytes()
-        assert est.right_ladder is ladder
+        if n * d * d <= _DENSE_RIGHT * obs.nnz:  # the estimator kept its ladder
+            assert est.right_ladder is ladder
+        else:  # none was formed: each read forms the same bytes
+            assert est.right_ladder.values.tobytes() == ladder.values.tobytes()
         assert ladder.vectors is est.V_hat
         auto = estimate_singular_triplets(obs, "auto")
         assert auto.rank == rank
@@ -473,10 +480,26 @@ class TestMatrixFreeRight:
         assert auto.right_ladder.vectors.tobytes() == est.V_hat.tobytes()
 
     def test_right_ladder_needs_observations(self):
-        est = estimate_singular_triplets(_signal_case(*_RIGHT_CASES[0]), 3)
+        # the Lanczos path keeps no ladder, so a read forms one from obs
+        est = estimate_singular_triplets(_signal_case(*_RIGHT_CASES[2]), 4)
         detached = dataclasses.replace(est, obs=None)
         with pytest.raises(ValueError, match="observations"):
             detached.right_ladder
+
+    @pytest.mark.parametrize("case", [_SIDE_CASES[0], _RIGHT_CASES[2]])  # dense, Lanczos
+    def test_nothing_set_after_construction(self, case):
+        obs = _signal_case(*case)
+        obs_fields = dict(vars(obs))
+        est = estimate_singular_triplets(obs, case[-1])
+        est_fields = dict(vars(est))
+        cm = complete(obs, est)
+        build_report(cm)
+        cm.to_dict()
+        assert est.right_ladder.values.tobytes() == est.right_ladder.values.tobytes()
+        for instance, before in ((obs, obs_fields), (est, est_fields)):
+            after = vars(instance)
+            assert after.keys() == before.keys()
+            assert all(after[name] is value for name, value in before.items())
 
     def test_wide_sparse_never_forms_right_gram(self):
         # the dense 6000 x 6000 right gram alone would take 288 MB
@@ -516,7 +539,8 @@ class TestDenseLeft:
         refs = [top_gram_eigenpairs(obs.to_csr(), rank + 2, p_hat)]
         # the 6000 x 6000 gram is left out: its eigh takes ~20 s and ~600 MB
         if n <= 1000:
-            refs.append(sym_eig_desc(bias_adjust(gram_left(obs), p_hat), rank + 2))
+            left_gram = bias_adjust(gram_right(obs.transpose()), p_hat)
+            refs.append(sym_eig_desc(left_gram, rank + 2))
         top = top_gram_eigenpairs(obs.to_dense(), rank + 2, p_hat)
         for ref in refs:
             k = top.values.size
@@ -562,29 +586,31 @@ class TestDenseLeft:
         z = np.zeros(obs.shape)
         z[obs.rows, obs.cols] = obs.vals
         assert gram_right(obs).tobytes() == (z.T @ z).tobytes()
+        # reference: the right side from gram_right, the left Lanczos on an
+        # independently zero-imputed copy
+        p_hat = observed_fraction(obs)
+        gram = bias_adjust(gram_right(obs), p_hat)
+        values = sym_eig_desc(gram, 0)
+        right = EigenLadder(values.values, spectral._top_dense_eigvecs(gram, 2),
+                            values.full_trace)
+        left = top_gram_eigenpairs(z, 2, p_hat)
+        tau = trailing_eig_mean(right, 2)
+        lam, _ = singular_values_from_eigs(right.values[:2], tau, p_hat)
+        ref = [a.tobytes() for a in (left.vectors, right.vectors, lam, left.values)]
+        ref += [tau, values.values.tobytes()]
 
-        def fields(est):
-            return _estimate_bytes(est) + [est.right_ladder.values.tobytes()]
-
-        # reference: every reader zero-imputes its own writable copy
-        def unkept(self):
-            out = np.zeros(self.shape)
-            out[self.rows, self.cols] = self.vals
-            return out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ObservedMatrix, "to_dense", unkept)
-            ref = fields(estimate_singular_triplets(obs, 2))
-        operands, top = [], spectral.top_gram_eigenpairs
+        dense_calls, operands = [], []
+        to_dense, top = ObservedMatrix.to_dense, spectral.top_gram_eigenpairs
+        monkeypatch.setattr(ObservedMatrix, "to_dense",
+                            lambda self: dense_calls.append(to_dense(self)) or dense_calls[-1])
         monkeypatch.setattr(spectral, "top_gram_eigenpairs",
                             lambda X, *a: operands.append(X) or top(X, *a))
-        fresh = ObservedMatrix(n, 63, obs.rows, obs.cols, obs.vals)
-        assert fields(estimate_singular_triplets(fresh, 2)) == ref
-        # the gram and the left Lanczos read the one kept, read-only copy
-        dense = fresh.to_dense()
-        assert len(operands) == 1 and operands[0] is dense
-        assert dense is fresh.to_dense() and not dense.flags.writeable
-        assert dense.tobytes() == z.tobytes()
+        est = estimate_singular_triplets(obs, 2)
+        assert _estimate_bytes(est) + [est.right_ladder.values.tobytes()] == ref
+        # the gram and the left Lanczos read the one zero-imputed array
+        assert len(dense_calls) == 1 and len(operands) == 1
+        assert operands[0] is dense_calls[0]
+        assert dense_calls[0].tobytes() == z.tobytes()
 
 
 # (n range, p range) of sim instances on each right path: d = 2 sqrt(n) is
